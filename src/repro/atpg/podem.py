@@ -11,22 +11,18 @@ The slice restriction is what keeps PODEM usable from pure Python: a
 bounded-depth die has slices of a few hundred gates regardless of die
 size.
 
-Two implication engines implement the identical search:
+Implication is incremental: persistent per-net value arrays for both
+machines, an undo trail per decision, event-driven re-evaluation of
+only the gates a primary-input change can reach, and a cached
+decision-free snapshot per slice. The engine holds no numpy state, so
+it runs unchanged on both kernel backends.
 
-* the **reference** engine — from-scratch 3-valued simulation of the
-  whole slice per implication (dict-based, the original code path);
-* the **incremental** engine — persistent per-net value arrays, an
-  undo trail per decision, and event-driven re-evaluation of only the
-  gates a primary-input change can reach. Selected by the ``numpy``
-  kernel backend (:mod:`repro.runtime.backend`); it carries the ATPG
-  5x at bench scale. It holds no numpy state itself — implication is
-  scalar by nature — but it ships with the numpy backend so the
-  default backend stays byte-stable code.
-
-Both must return bit-identical :class:`PodemOutcome` values, including
-the backtrack count: every sub-result (implied values, D-frontier
-choice, SCOAP backtrace step) is a pure function of the current
-assignment, so replaying the same decisions yields the same search.
+Every sub-result (implied values, D-frontier choice, SCOAP backtrace
+step) is a pure function of the current assignment, so each
+:class:`PodemOutcome`, backtrack count included, is deterministic. The
+``podem`` check in :mod:`repro.verify.checks` is the engine's oracle:
+every detected cube must detect under forced re-simulation, and every
+untestable verdict on a small circuit must survive every input pattern.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.atpg.faults import Fault, FaultKind, Polarity
+from repro.atpg.faults import Fault, FaultKind
 from repro.atpg.sim import CompiledCircuit
 from repro.util.errors import AtpgError
 
@@ -108,8 +104,8 @@ def _eval3(op_name: str, vals: Sequence[int]) -> int:
     raise AtpgError(f"no 3-valued model for {op_name}")
 
 
-# Small-int op codes for the incremental engine: string dispatch is the
-# single biggest cost of `_eval3` in the implication loop.
+# Small-int op codes for the implication loop: string dispatch is the
+# single biggest cost of `_eval3` there.
 _C_BUF, _C_INV, _C_AND, _C_NAND, _C_OR, _C_NOR = 0, 1, 2, 3, 4, 5
 _C_XOR, _C_XNOR, _C_MUX2, _C_AOI21, _C_OAI21 = 6, 7, 8, 9, 10
 
@@ -120,62 +116,9 @@ _OP3_CODES = {
 }
 
 
-def _eval3_code(code: int, vals: Sequence[int]) -> int:
-    """Exact mirror of :func:`_eval3` over small-int op codes."""
-    if code == _C_AND or code == _C_NAND:
-        out = 1
-        for v in vals:
-            if v == 0:
-                out = 0
-                break
-            if v == 2:
-                out = 2
-        if code == _C_NAND and out != 2:
-            out = 1 - out
-        return out
-    if code == _C_OR or code == _C_NOR:
-        out = 0
-        for v in vals:
-            if v == 1:
-                out = 1
-                break
-            if v == 2:
-                out = 2
-        if code == _C_NOR and out != 2:
-            out = 1 - out
-        return out
-    if code == _C_INV:
-        v = vals[0]
-        return 2 if v == 2 else 1 - v
-    if code == _C_BUF:
-        return vals[0]
-    if code == _C_XOR or code == _C_XNOR:
-        out = 0
-        for v in vals:
-            if v == 2:
-                return 2
-            out ^= v
-        if code == _C_XNOR:
-            out = 1 - out
-        return out
-    if code == _C_MUX2:
-        a, b, s = vals
-        if s == 0:
-            return a
-        if s == 1:
-            return b
-        return a if (a == b and a != 2) else 2
-    if code == _C_AOI21:
-        a1, a2, b = vals
-        return _not3(_or3((_and3((a1, a2)), b)))
-    # _C_OAI21
-    a1, a2, b = vals
-    return _not3(_and3((_or3((a1, a2)), b)))
-
-
 def _eval3_arr(code: int, ins: Sequence[int], values: List[int]) -> int:
-    """:func:`_eval3_code` reading operands straight from a per-net
-    value array — the incremental engine's hot path allocates no
+    """:func:`_eval3` over a small-int op code, reading operands
+    straight from a per-net value array — the hot path allocates no
     intermediate operand list."""
     if code == _C_AND or code == _C_NAND:
         out = 1
@@ -237,46 +180,39 @@ def _eval3_arr(code: int, ins: Sequence[int], values: List[int]) -> int:
         if inner == 2 or b == 2:
             return 2
         return 1
-    if code == _C_OAI21:
-        a1, a2, b = values[ins[0]], values[ins[1]], values[ins[2]]
-        if a1 == 1 or a2 == 1:
-            inner = 1
-        elif a1 == 2 or a2 == 2:
-            inner = 2
-        else:
-            inner = 0
-        if inner == 0 or b == 0:
-            return 1
-        if inner == 2 or b == 2:
-            return 2
-        return 0
-    return _eval3_code(code, [values[n] for n in ins])
+    # _C_OAI21
+    a1, a2, b = values[ins[0]], values[ins[1]], values[ins[2]]
+    if a1 == 1 or a2 == 1:
+        inner = 1
+    elif a1 == 2 or a2 == 2:
+        inner = 2
+    else:
+        inner = 0
+    if inner == 0 or b == 0:
+        return 1
+    if inner == 2 or b == 2:
+        return 2
+    return 0
 
 
-class _ArrayView:
-    """Adapter exposing a value array through the ``gv.get(nid, X)``
-    protocol `_backtrace` speaks, so both engines share the exact SCOAP
-    backtrace code. Every net the backtrace can reach is defined in the
-    array (unset entries hold X), matching the dict default."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: List[int]) -> None:
-        self.data = data
-
-    def get(self, nid: int, default: int = X) -> int:
-        return self.data[nid]
+def _eval3_pinned(code: int, ins: Sequence[int], values: List[int],
+                  pos: int, stuck: int) -> int:
+    """:func:`_eval3_arr` with input *pos* forced to *stuck* — the
+    faulty machine's view of a branch-fault gate."""
+    vals = [values[n] for n in ins]
+    vals[pos] = stuck
+    return _eval3_arr(code, range(len(vals)), vals)
 
 
-class _FastSlice:
-    """Per-fault-slice structures for the incremental engine."""
+class _Slice:
+    """Search structures of one slice: a fault's, or the fan-in
+    closure of a bare justification target."""
 
-    __slots__ = ("supported", "observable", "slice_gates", "gates",
-                 "sources", "cone", "check_nets", "branch_gate",
-                 "branch_pos", "site_is_source", "base", "base_nids")
+    __slots__ = ("observable", "slice_gates", "gates", "sources", "cone",
+                 "check_nets", "branch_gate", "branch_pos",
+                 "site_is_source", "base", "base_nids")
 
     def __init__(self) -> None:
-        self.supported = True
         self.observable = False
         self.slice_gates: List[int] = []
         #: (gi, code, out, ins) in slice (topological) order
@@ -307,13 +243,6 @@ _NONCONTROLLING = {
     "mux2": 0, "aoi21": 0, "oai21": 1,
 }
 
-#: whether the path through the gate inverts (backtrace parity)
-_INVERTING = {
-    "and": False, "nand": True, "or": False, "nor": True,
-    "xor": False, "xnor": True, "buf": False, "inv": True,
-    "mux2": False, "aoi21": True, "oai21": True,
-}
-
 
 @dataclass
 class PodemOutcome:
@@ -329,36 +258,25 @@ class PodemGenerator:
     """PODEM bound to one compiled circuit."""
 
     def __init__(self, circuit: CompiledCircuit,
-                 backtrack_limit: int = 64,
-                 fast: Optional[bool] = None) -> None:
+                 backtrack_limit: int = 64) -> None:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self._control: Set[int] = set(circuit.input_columns)
-        self._slice_cache: Dict[
-            Tuple[str, str, str], Tuple[List[int], bool, List[int]]] = {}
-        #: flat (op_name, out, ins) per gate — the 3-valued implication
-        #: loop reads these instead of walking the gate dataclass
-        self._specs: List[Tuple[str, int, Tuple[int, ...]]] = [
-            (g.op_name, g.out, g.ins) for g in circuit.gates
-        ]
-        self._cc0, self._cc1 = self._scoap()
-        if fast is None:
-            from repro.runtime.backend import use_numpy
-            fast = use_numpy()
-        self._fast = bool(fast)
-        self._fast_cache: Dict[Tuple[str, str, str], _FastSlice] = {}
-        self._justify_cache: Dict[int, Optional[_FastSlice]] = {}
-        # Incremental-engine state: persistent value arrays (X between
-        # searches), the undo trail of (net, old good, old faulty), and
-        # per-gate membership flags for the active slice / fault cone.
-        self._codes: List[Optional[int]] = [
-            _OP3_CODES.get(op) for op, _out, _ins in self._specs]
         #: (code, out, ins) per gate, one lookup in the propagation loop
-        self._gspec: List[Tuple[Optional[int], int, Tuple[int, ...]]] = [
-            (code, out, ins) for code, (_op, out, ins)
-            in zip(self._codes, self._specs)]
-        self._gv_arr: Optional[List[int]] = None
-        self._fv_arr: Optional[List[int]] = None
+        self._gspec: List[Tuple[int, int, Tuple[int, ...]]] = []
+        for gate in circuit.gates:
+            code = _OP3_CODES.get(gate.op_name)
+            if code is None:
+                raise AtpgError(f"no 3-valued model for {gate.op_name}")
+            self._gspec.append((code, gate.out, gate.ins))
+        self._cc0, self._cc1 = self._scoap()
+        self._fault_slices: Dict[Tuple[str, str, str], _Slice] = {}
+        self._justify_slices: Dict[int, _Slice] = {}
+        # Persistent value arrays (X between searches), the undo trail of
+        # (net, old good, old faulty), and per-gate membership flags for
+        # the active slice / fault cone.
+        self._gv_arr: List[int] = [X] * circuit.n_nets
+        self._fv_arr: List[int] = [X] * circuit.n_nets
         self._trail: List[Tuple[int, int, int]] = []
         self._inflag = bytearray(len(circuit.gates))
         self._conefl = bytearray(len(circuit.gates))
@@ -428,235 +346,13 @@ class PodemGenerator:
         return cc0, cc1
 
     # ------------------------------------------------------------------
-    def _slice_for(self, fault: Fault) -> Tuple[List[int], bool, List[int]]:
-        """Gate indices of the fault's slice (topo order), whether any
-        observation net is reachable, and the fan-out cone's gates."""
-        key = (fault.net, fault.owner, fault.pin)
-        cached = self._slice_cache.get(key)
-        if cached is not None:
-            return cached
-
-        circuit = self.circuit
-        site_net = circuit.net_ids[fault.net]
-
-        # Forward cone.
-        cone_gates: Set[int] = set()
-        frontier = [site_net]
-        seen_nets = {site_net}
-        observes_reachable = site_net in circuit.observed
-        if fault.kind is FaultKind.BRANCH:
-            # Only the one sink gate sees the fault initially.
-            start_gates = [g for g in circuit.gate_users[site_net]
-                           if circuit.gates[g].name == fault.owner]
-        else:
-            start_gates = list(circuit.gate_users[site_net])
-        work = list(start_gates)
-        while work:
-            gi = work.pop()
-            if gi in cone_gates:
-                continue
-            cone_gates.add(gi)
-            out = self.circuit.gates[gi].out
-            if out in circuit.observed:
-                observes_reachable = True
-            if out not in seen_nets:
-                seen_nets.add(out)
-                work.extend(circuit.gate_users[out])
-
-        # Fan-in closure (side inputs must be justifiable).
-        closure: Set[int] = set(cone_gates)
-        work = list(cone_gates)
-        # The site itself must be justifiable too.
-        driver = circuit.gate_of_net.get(site_net)
-        if driver is not None:
-            work.append(driver)
-            closure.add(driver)
-        while work:
-            gi = work.pop()
-            for nid in circuit.gates[gi].ins:
-                drv = circuit.gate_of_net.get(nid)
-                if drv is not None and drv not in closure:
-                    closure.add(drv)
-                    work.append(drv)
-
-        ordered = sorted(closure)
-        result = (ordered, observes_reachable, sorted(cone_gates))
-        self._slice_cache[key] = result
-        return result
-
+    # Incremental implication. Two facts keep the slice-restricted
+    # search exact: event-driven propagation in gate-index (topological)
+    # order reproduces a full slice evaluation, and the faulty machine
+    # can differ from the good one only on the fault site and the
+    # fan-out cone's outputs, so the detection scan (`check_nets`) and
+    # the D-frontier scan (`cone`) are restricted to those.
     # ------------------------------------------------------------------
-    def run(self, fault: Fault) -> PodemOutcome:
-        """Attempt to generate a test for *fault*."""
-        if self._fast:
-            fs = self._fast_slice(fault)
-            if fs.supported:
-                return self._run_fast(fault, fs)
-        return self._run_slow(fault)
-
-    def _run_slow(self, fault: Fault) -> PodemOutcome:
-        circuit = self.circuit
-        slice_gates, observable, _cone = self._slice_for(fault)
-        if not observable and fault.kind is not FaultKind.OBS_BRANCH:
-            return PodemOutcome("untestable", {}, 0)
-
-        site_net = circuit.net_ids[fault.net]
-        stuck = int(fault.polarity)
-
-        if fault.kind is FaultKind.OBS_BRANCH:
-            # Activation is detection: justify site = ¬stuck.
-            return self.justify(site_net, 1 - stuck, slice_gates)
-
-        branch_gate: Optional[int] = None
-        branch_pos: Optional[int] = None
-        if fault.kind is FaultKind.BRANCH:
-            for gi in circuit.gate_users[site_net]:
-                gate = circuit.gates[gi]
-                if gate.name == fault.owner:
-                    branch_gate = gi
-                    positions = [k for k, nid in enumerate(gate.ins)
-                                 if nid == site_net]
-                    branch_pos = positions[0]
-                    break
-            if branch_gate is None:
-                return PodemOutcome("untestable", {}, 0)
-
-        assignment: Dict[int, int] = {}
-        decisions: List[Tuple[int, int, bool]] = []  # (net, value, flipped)
-        backtracks = 0
-
-        while True:
-            gv, fv = self._imply(slice_gates, assignment, site_net, stuck,
-                                 branch_gate, branch_pos)
-            status = self._check(gv, fv, site_net, stuck)
-            if status == "detected":
-                return PodemOutcome("detected", dict(assignment), backtracks)
-
-            objective = None
-            if status != "conflict":
-                objective = self._objective(gv, fv, site_net, stuck,
-                                            slice_gates, branch_gate,
-                                            branch_pos)
-            if objective is None:
-                # Backtrack.
-                while decisions:
-                    net, value, flipped = decisions.pop()
-                    del assignment[net]
-                    if not flipped:
-                        backtracks += 1
-                        if backtracks > self.backtrack_limit:
-                            return PodemOutcome("aborted", {}, backtracks)
-                        decisions.append((net, 1 - value, True))
-                        assignment[net] = 1 - value
-                        break
-                else:
-                    return PodemOutcome("untestable", {}, backtracks)
-                continue
-
-            pi_net, pi_value = self._backtrace(objective[0], objective[1], gv)
-            if pi_net is None:
-                # No X-path to a control input: treat as conflict.
-                while decisions:
-                    net, value, flipped = decisions.pop()
-                    del assignment[net]
-                    if not flipped:
-                        backtracks += 1
-                        if backtracks > self.backtrack_limit:
-                            return PodemOutcome("aborted", {}, backtracks)
-                        decisions.append((net, 1 - value, True))
-                        assignment[net] = 1 - value
-                        break
-                else:
-                    return PodemOutcome("untestable", {}, backtracks)
-                continue
-
-            decisions.append((pi_net, pi_value, False))
-            assignment[pi_net] = pi_value
-
-    # ------------------------------------------------------------------
-    def justify(self, net_id: int, value: int,
-                slice_gates: Optional[List[int]] = None) -> PodemOutcome:
-        """Justification-only search: make *net_id* take *value*.
-
-        Used for OBS_BRANCH faults and transition-launch conditions.
-        """
-        if self._fast and slice_gates is None:
-            fs = self._justify_structures(net_id)
-            if fs is not None:
-                return self._justify_fast(net_id, value, fs)
-        return self._justify_slow(net_id, value, slice_gates)
-
-    def _justify_slow(self, net_id: int, value: int,
-                      slice_gates: Optional[List[int]] = None
-                      ) -> PodemOutcome:
-        circuit = self.circuit
-        if slice_gates is None:
-            # Fan-in closure of the net.
-            closure: Set[int] = set()
-            work = []
-            driver = circuit.gate_of_net.get(net_id)
-            if driver is not None:
-                work.append(driver)
-                closure.add(driver)
-            while work:
-                gi = work.pop()
-                for nid in circuit.gates[gi].ins:
-                    drv = circuit.gate_of_net.get(nid)
-                    if drv is not None and drv not in closure:
-                        closure.add(drv)
-                        work.append(drv)
-            slice_gates = sorted(closure)
-
-        assignment: Dict[int, int] = {}
-        decisions: List[Tuple[int, int, bool]] = []
-        backtracks = 0
-        while True:
-            gv, _fv = self._imply(slice_gates, assignment, None, 0, None, None)
-            if gv.get(net_id, X) == value:
-                return PodemOutcome("detected", dict(assignment), backtracks)
-            if gv.get(net_id, X) == 1 - value:
-                objective = None  # conflict
-            else:
-                objective = (net_id, value)
-
-            if objective is not None:
-                pi_net, pi_value = self._backtrace(objective[0], objective[1], gv)
-                if pi_net is not None:
-                    decisions.append((pi_net, pi_value, False))
-                    assignment[pi_net] = pi_value
-                    continue
-
-            while decisions:
-                net, val, flipped = decisions.pop()
-                del assignment[net]
-                if not flipped:
-                    backtracks += 1
-                    if backtracks > self.backtrack_limit:
-                        return PodemOutcome("aborted", {}, backtracks)
-                    decisions.append((net, 1 - val, True))
-                    assignment[net] = 1 - val
-                    break
-            else:
-                return PodemOutcome("untestable", {}, backtracks)
-
-    # ------------------------------------------------------------------
-    # Incremental implication engine (numpy-backend ATPG kernel).
-    #
-    # Equivalence with `_imply`/`_check`/`_objective` rests on three
-    # facts: (1) implied values are a pure function of the assignment,
-    # and heap-ordered event propagation over the topologically sorted
-    # gate list reproduces the from-scratch evaluation exactly; (2) the
-    # faulty machine can differ from the good machine only on the fault
-    # site and the fan-out cone's outputs, so the detection scan and
-    # the D-frontier scan may be restricted to those nets/gates; (3)
-    # `_imply`'s lazily-built dicts define exactly the slice's source
-    # and output nets, and every net the search reads is in that set,
-    # so arrays holding X elsewhere see the same values as the dicts.
-    # ------------------------------------------------------------------
-    def _ensure_arrays(self) -> None:
-        if self._gv_arr is None:
-            self._gv_arr = [X] * self.circuit.n_nets
-            self._fv_arr = [X] * self.circuit.n_nets
-
     def _undo_to(self, mark: int) -> None:
         trail = self._trail
         if len(trail) <= mark:
@@ -667,35 +363,35 @@ class PodemGenerator:
             fv[nid] = old_f
         del trail[mark:]
 
-    def _build_structures(self, slice_gates: List[int],
-                          extra_source: Optional[int]) -> _FastSlice:
-        """Flat per-slice arrays for the incremental engine (marked
-        unsupported when a gate has no small-int 3-valued model)."""
+    def _fanin_closure(self, seeds: List[int]) -> List[int]:
+        """*seeds* plus every gate driving them, transitively, in
+        topological (gate index) order."""
         circuit = self.circuit
-        specs = self._specs
-        codes = self._codes
-        fs = _FastSlice()
+        closure: Set[int] = set(seeds)
+        work = list(closure)
+        while work:
+            for nid in circuit.gates[work.pop()].ins:
+                drv = circuit.gate_of_net.get(nid)
+                if drv is not None and drv not in closure:
+                    closure.add(drv)
+                    work.append(drv)
+        return sorted(closure)
+
+    def _build_structures(self, slice_gates: List[int],
+                          extra_source: int) -> _Slice:
+        """Flat gate specs of *slice_gates* and the base value of every
+        net the slice reads but does not drive."""
+        circuit = self.circuit
+        fs = _Slice()
         fs.slice_gates = slice_gates
-        outs: Set[int] = set()
-        gates = fs.gates
-        for gi in slice_gates:
-            code = codes[gi]
-            if code is None:
-                fs.supported = False
-                return fs
-            _op, out, ins = specs[gi]
-            gates.append((gi, code, out, ins))
-            outs.add(out)
-        source_nets: Set[int] = set()
-        for _gi, _code, _out, ins in gates:
-            for nid in ins:
-                if nid not in outs:
-                    source_nets.add(nid)
-        if extra_source is not None and extra_source not in outs:
+        fs.gates = [(gi, *self._gspec[gi]) for gi in slice_gates]
+        outs = {entry[2] for entry in fs.gates}
+        source_nets = {nid for entry in fs.gates for nid in entry[3]
+                       if nid not in outs}
+        if extra_source not in outs:
             source_nets.add(extra_source)
         constants = circuit.constant_nets
         x_nets = circuit.x_net_ids
-        fs.sources = []
         for nid in sorted(source_nets):
             const = constants.get(nid)
             if const is not None:
@@ -706,62 +402,71 @@ class PodemGenerator:
                 value = X
             fs.sources.append((nid, value))
         fs.base_nids = [nid for nid, _v in fs.sources]
-        fs.base_nids.extend(entry[2] for entry in gates)
+        fs.base_nids.extend(entry[2] for entry in fs.gates)
         return fs
 
-    def _fast_slice(self, fault: Fault) -> _FastSlice:
+    def _fault_slice(self, fault: Fault) -> _Slice:
+        """The fault's slice: the fan-in closure of its fan-out cone
+        and its site (side inputs and the site must be justifiable)."""
         key = (fault.net, fault.owner, fault.pin)
-        fs = self._fast_cache.get(key)
+        fs = self._fault_slices.get(key)
         if fs is not None:
             return fs
         circuit = self.circuit
-        slice_gates, observable, cone = self._slice_for(fault)
+        gates = circuit.gates
         site_net = circuit.net_ids[fault.net]
-        fs = self._build_structures(slice_gates, site_net)
-        fs.observable = observable
-        if fs.supported:
-            specs = self._specs
-            fs.cone = [(gi, specs[gi][0], specs[gi][1], specs[gi][2])
-                       for gi in cone]
-            diff_nets = {entry[2] for entry in fs.cone}
-            diff_nets.add(site_net)
-            fs.check_nets = tuple(sorted(diff_nets & circuit.observed))
-            fs.site_is_source = circuit.gate_of_net.get(site_net) is None
-            if fault.kind is FaultKind.BRANCH:
-                for gi in circuit.gate_users[site_net]:
-                    gate = circuit.gates[gi]
-                    if gate.name == fault.owner:
-                        fs.branch_gate = gi
-                        fs.branch_pos = [
-                            k for k, nid in enumerate(gate.ins)
-                            if nid == site_net][0]
-                        break
-        self._fast_cache[key] = fs
-        return fs
 
-    def _justify_structures(self, net_id: int) -> Optional[_FastSlice]:
-        """Fan-in-closure structures for a bare justification target
-        (None when the closure has an unsupported gate)."""
-        if net_id in self._justify_cache:
-            return self._justify_cache[net_id]
-        circuit = self.circuit
-        closure: Set[int] = set()
-        work = []
-        driver = circuit.gate_of_net.get(net_id)
-        if driver is not None:
-            work.append(driver)
-            closure.add(driver)
+        # Forward cone.
+        if fault.kind is FaultKind.BRANCH:
+            # Only the one sink gate sees the fault initially.
+            start_gates = [gi for gi in circuit.gate_users[site_net]
+                           if gates[gi].name == fault.owner]
+        else:
+            start_gates = list(circuit.gate_users[site_net])
+        cone_gates: Set[int] = set()
+        seen_nets = {site_net}
+        observable = site_net in circuit.observed
+        work = list(start_gates)
         while work:
             gi = work.pop()
-            for nid in circuit.gates[gi].ins:
-                drv = circuit.gate_of_net.get(nid)
-                if drv is not None and drv not in closure:
-                    closure.add(drv)
-                    work.append(drv)
-        fs = self._build_structures(sorted(closure), net_id)
-        result = fs if fs.supported else None
-        self._justify_cache[net_id] = result
-        return result
+            if gi in cone_gates:
+                continue
+            cone_gates.add(gi)
+            out = gates[gi].out
+            if out in circuit.observed:
+                observable = True
+            if out not in seen_nets:
+                seen_nets.add(out)
+                work.extend(circuit.gate_users[out])
+
+        seeds = list(cone_gates)
+        driver = circuit.gate_of_net.get(site_net)
+        if driver is not None:
+            seeds.append(driver)
+        fs = self._build_structures(self._fanin_closure(seeds), site_net)
+        fs.observable = observable
+        fs.cone = [(gi, gates[gi].op_name, gates[gi].out, gates[gi].ins)
+                   for gi in sorted(cone_gates)]
+        diff_nets = {entry[2] for entry in fs.cone}
+        diff_nets.add(site_net)
+        fs.check_nets = tuple(sorted(diff_nets & circuit.observed))
+        fs.site_is_source = driver is None
+        if fault.kind is FaultKind.BRANCH and start_gates:
+            fs.branch_gate = start_gates[0]
+            fs.branch_pos = gates[start_gates[0]].ins.index(site_net)
+        self._fault_slices[key] = fs
+        return fs
+
+    def _justify_structures(self, net_id: int) -> _Slice:
+        """Fan-in-closure structures for a bare justification target."""
+        fs = self._justify_slices.get(net_id)
+        if fs is None:
+            driver = self.circuit.gate_of_net.get(net_id)
+            fs = self._build_structures(
+                self._fanin_closure([] if driver is None else [driver]),
+                net_id)
+            self._justify_slices[net_id] = fs
+        return fs
 
     def _propagate_arr(self, net: int, branch_gate: Optional[int],
                        branch_pos: Optional[int], stuck: int,
@@ -827,9 +532,7 @@ class PodemGenerator:
                 g_out = ev(code, ins, gv)
             if conefl[gi]:
                 if gi == branch_gate:
-                    vals = [fv[n] for n in ins]
-                    vals[branch_pos] = stuck
-                    f_out = _eval3_code(code, vals)
+                    f_out = _eval3_pinned(code, ins, fv, branch_pos, stuck)
                 else:
                     f_out = ev(code, ins, fv)
             elif out == stem_out:
@@ -860,7 +563,7 @@ class PodemGenerator:
         self._propagate_arr(net, branch_gate, branch_pos, stuck,
                             stem_out)
 
-    def _check_arr(self, fs: _FastSlice, site_net: int,
+    def _check_arr(self, fs: _Slice, site_net: int,
                    stuck: int) -> str:
         gv, fv = self._gv_arr, self._fv_arr
         site_g = gv[site_net]
@@ -872,7 +575,7 @@ class PodemGenerator:
                 return "detected"
         return "open"
 
-    def _objective_arr(self, fs: _FastSlice, site_net: int, stuck: int,
+    def _objective_arr(self, fs: _Slice, site_net: int, stuck: int,
                        branch_gate: Optional[int],
                        branch_pos: Optional[int]
                        ) -> Optional[Tuple[int, int]]:
@@ -903,16 +606,17 @@ class PodemGenerator:
                     return (nid, _NONCONTROLLING[op_name])
         return None
 
-    def _run_fast(self, fault: Fault, fs: _FastSlice) -> PodemOutcome:
-        """Incremental-engine mirror of :meth:`_run_slow`."""
-        circuit = self.circuit
+    # ------------------------------------------------------------------
+    def run(self, fault: Fault) -> PodemOutcome:
+        """Attempt to generate a test for *fault*."""
+        fs = self._fault_slice(fault)
         if not fs.observable and fault.kind is not FaultKind.OBS_BRANCH:
             return PodemOutcome("untestable", {}, 0)
-        site_net = circuit.net_ids[fault.net]
+        site_net = self.circuit.net_ids[fault.net]
         stuck = int(fault.polarity)
         if fault.kind is FaultKind.OBS_BRANCH:
             # Activation is detection: justify site = ¬stuck.
-            return self._justify_fast(site_net, 1 - stuck, fs)
+            return self._justify_search(site_net, 1 - stuck, fs)
         branch_gate = branch_pos = None
         if fault.kind is FaultKind.BRANCH:
             if fs.branch_gate is None:
@@ -925,7 +629,6 @@ class PodemGenerator:
             else:
                 stem_out = site_net
 
-        self._ensure_arrays()
         gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
         flags, conefl = self._inflag, self._conefl
         for gi in fs.slice_gates:
@@ -956,9 +659,8 @@ class PodemGenerator:
                     g_out = _eval3_arr(code, ins, gv)
                     if conefl[gi]:
                         if gi == branch_gate:
-                            vals = [fv[n] for n in ins]
-                            vals[branch_pos] = stuck
-                            f_out = _eval3_code(code, vals)
+                            f_out = _eval3_pinned(code, ins, fv,
+                                                  branch_pos, stuck)
                         else:
                             f_out = _eval3_arr(code, ins, fv)
                     elif out == stem_out:
@@ -970,7 +672,6 @@ class PodemGenerator:
                 fs.base[stuck] = [(nid, gv[nid], fv[nid])
                                   for nid in fs.base_nids]
 
-            gv_view = _ArrayView(gv)
             while True:
                 status = self._check_arr(fs, site_net, stuck)
                 if status == "detected":
@@ -985,10 +686,10 @@ class PodemGenerator:
                 pi_value = 0
                 if objective is not None:
                     pi_net, pi_value = self._backtrace(
-                        objective[0], objective[1], gv_view)
+                        objective[0], objective[1], gv)
                 if pi_net is None:
-                    # Backtrack (covers both "no objective" and "no
-                    # X-path", exactly like the reference engine).
+                    # Backtrack: no objective, or no X-path to a control
+                    # input from it.
                     while decisions:
                         net, value, flipped, mark = decisions.pop()
                         del assignment[net]
@@ -1024,11 +725,19 @@ class PodemGenerator:
             for entry in fs.cone:
                 conefl[entry[0]] = 0
 
-    def _justify_fast(self, net_id: int, value: int,
-                      fs: _FastSlice) -> PodemOutcome:
-        """Incremental-engine mirror of :meth:`_justify_slow` (good
-        machine only; the faulty array simply mirrors it)."""
-        self._ensure_arrays()
+    def justify(self, net_id: int, value: int) -> PodemOutcome:
+        """Justification-only search: make *net_id* take *value*.
+
+        Used for transition-launch conditions; OBS_BRANCH faults run
+        the same search over their fault slice.
+        """
+        return self._justify_search(net_id, value,
+                                    self._justify_structures(net_id))
+
+    def _justify_search(self, net_id: int, value: int,
+                        fs: _Slice) -> PodemOutcome:
+        """Justify *net_id* = *value* over slice *fs* (good machine
+        only; the faulty array simply mirrors it)."""
         gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
         flags = self._inflag
         for gi in fs.slice_gates:
@@ -1053,7 +762,6 @@ class PodemGenerator:
                 fs.base[None] = [(nid, gv[nid], fv[nid])
                                  for nid in fs.base_nids]
 
-            gv_view = _ArrayView(gv)
             while True:
                 current = gv[net_id]
                 if current == value:
@@ -1062,8 +770,7 @@ class PodemGenerator:
                 pi_net: Optional[int] = None
                 pi_value = 0
                 if current != 1 - value:  # else conflict: backtrack
-                    pi_net, pi_value = self._backtrace(net_id, value,
-                                                       gv_view)
+                    pi_net, pi_value = self._backtrace(net_id, value, gv)
                 if pi_net is not None:
                     decisions.append((pi_net, pi_value, False,
                                       len(trail)))
@@ -1098,112 +805,8 @@ class PodemGenerator:
                 flags[gi] = 0
 
     # ------------------------------------------------------------------
-    def _imply(self, slice_gates: List[int], assignment: Dict[int, int],
-               site_net: Optional[int], stuck: int,
-               branch_gate: Optional[int], branch_pos: Optional[int]
-               ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """3-valued forward simulation of good (gv) and faulty (fv)
-        machines over the slice."""
-        circuit = self.circuit
-        gv: Dict[int, int] = {}
-        fv: Dict[int, int] = {}
-
-        def source_value(nid: int) -> int:
-            if nid in assignment:
-                return assignment[nid]
-            const = circuit.constant_nets.get(nid)
-            if const is not None:
-                return const
-            if nid in circuit.x_net_ids:
-                return 0  # tied, consistent with packed simulation
-            if nid in self._control:
-                return X
-            return X
-
-        def get(machine: Dict[int, int], nid: int) -> int:
-            if nid in machine:
-                return machine[nid]
-            value = source_value(nid)
-            machine[nid] = value
-            return value
-
-        # A stem fault on a source net (FF Q, PI) must be injected before
-        # any gate reads it; a stem on a gate output is injected right
-        # after that gate evaluates (inside the loop).
-        if site_net is not None and branch_gate is None \
-                and circuit.gate_of_net.get(site_net) is None:
-            get(gv, site_net)
-            fv[site_net] = stuck
-
-        specs = self._specs
-        for gi in slice_gates:
-            op_name, out, ins = specs[gi]
-            g_ins = [get(gv, nid) for nid in ins]
-            gv[out] = _eval3(op_name, g_ins)
-
-            if branch_gate is not None and gi == branch_gate:
-                f_ins = [get(fv, nid) for nid in ins]
-                f_ins[branch_pos] = stuck
-                fv[out] = _eval3(op_name, f_ins)
-            else:
-                f_ins = [get(fv, nid) for nid in ins]
-                fv[out] = _eval3(op_name, f_ins)
-            if site_net is not None and branch_gate is None \
-                    and out == site_net:
-                fv[site_net] = stuck
-
-        return gv, fv
-
-    # ------------------------------------------------------------------
-    def _check(self, gv: Dict[int, int], fv: Dict[int, int],
-               site_net: int, stuck: int) -> str:
-        """'detected', 'conflict' or 'open'."""
-        site_g = gv.get(site_net, X)
-        if site_g == stuck:
-            return "conflict"  # can never be activated under assignment
-        for nid in self.circuit.observed:
-            a, b = gv.get(nid, X), fv.get(nid, X)
-            if a != X and b != X and a != b:
-                return "detected"
-        return "open"
-
-    def _objective(self, gv: Dict[int, int], fv: Dict[int, int],
-                   site_net: int, stuck: int, slice_gates: List[int],
-                   branch_gate: Optional[int] = None,
-                   branch_pos: Optional[int] = None
-                   ) -> Optional[Tuple[int, int]]:
-        site_g = gv.get(site_net, X)
-        if site_g == X:
-            return (site_net, 1 - stuck)  # activate
-
-        # D-frontier: gate with a D/D̄ input whose output is not yet
-        # resolved in at least one machine (composite value unknown).
-        # For a branch fault the D̄ sits on the faulted *pin* of the
-        # branch gate, which net-level values cannot show.
-        specs = self._specs
-        for gi in slice_gates:
-            op_name, out, ins = specs[gi]
-            if gv.get(out, X) != X and fv.get(out, X) != X:
-                continue
-            if branch_gate is not None and gi == branch_gate:
-                has_d = site_g != X and site_g != stuck
-            else:
-                has_d = any(
-                    gv.get(nid, X) != X and fv.get(nid, X) != X
-                    and gv.get(nid) != fv.get(nid)
-                    for nid in ins
-                )
-            if not has_d:
-                continue
-            for pos, nid in enumerate(ins):
-                if branch_gate is not None and gi == branch_gate                         and pos == branch_pos:
-                    continue  # the faulted pin is not a side input
-                if gv.get(nid, X) == X:
-                    return (nid, _NONCONTROLLING[op_name])
-        return None
-
     def _backtrace(self, net_id: int, value: int,
-                   gv: Dict[int, int]) -> Tuple[Optional[int], int]:
+                   gv: List[int]) -> Tuple[Optional[int], int]:
         """Walk an X-path from the objective back to a control net.
 
         Uses SCOAP guidance: "any input suffices" objectives descend
@@ -1214,9 +817,6 @@ class PodemGenerator:
         control = self._control
         gate_of_net = circuit.gate_of_net.get
         gates = circuit.gates
-        # Direct list indexing on the incremental engine's value array;
-        # dict access (with an X default for unset nets) otherwise.
-        data = gv.data if type(gv) is _ArrayView else None
         current, target = net_id, value
         for _ in range(100000):  # cycle-free by construction
             if current in control:
@@ -1225,11 +825,7 @@ class PodemGenerator:
             if driver is None:
                 return None, 0  # constant / X-tie: cannot justify
             gate = gates[driver]
-            if data is not None:
-                x_inputs = [nid for nid in gate.ins if data[nid] == X]
-            else:
-                x_inputs = [nid for nid in gate.ins
-                            if gv.get(nid, X) == X]
+            x_inputs = [nid for nid in gate.ins if gv[nid] == X]
             if not x_inputs:
                 return None, 0
             step = self._backtrace_step(gate, target, x_inputs, gv)
@@ -1239,7 +835,7 @@ class PodemGenerator:
         return None, 0
 
     def _backtrace_step(self, gate, target: int, x_inputs: List[int],
-                        gv: Dict[int, int]) -> Optional[Tuple[int, int]]:
+                        gv: List[int]) -> Optional[Tuple[int, int]]:
         cc0, cc1 = self._cc0, self._cc1
         op = gate.op_name
 
@@ -1267,7 +863,7 @@ class PodemGenerator:
         if op in ("xor", "xnor"):
             parity = 0
             for nid in gate.ins:
-                v = gv.get(nid, X)
+                v = gv[nid]
                 if v != X and nid not in x_inputs:
                     parity ^= v
             want = target if op == "xor" else 1 - target
@@ -1276,7 +872,7 @@ class PodemGenerator:
             return (chosen, want ^ parity)
         if op == "mux2":
             a, b, s = gate.ins
-            a_v, b_v, s_v = gv.get(a, X), gv.get(b, X), gv.get(s, X)
+            a_v, b_v, s_v = gv[a], gv[b], gv[s]
             if s_v == 0 and a in x_inputs:
                 return (a, target)
             if s_v == 1 and b in x_inputs:

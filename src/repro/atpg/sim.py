@@ -278,27 +278,6 @@ class CompiledCircuit:
         instrument.count("sim.tape_blocks")
         return values
 
-    def simulate_reference(self, input_words: Sequence[int], mask: int
-                           ) -> List[int]:
-        """Per-gate ``op()`` interpreter — the pre-tape reference.
-
-        Kept for the kernel-equivalence property tests; the tape
-        interpreter in :meth:`simulate` must match it bit for bit.
-        """
-        if len(input_words) != len(self.input_columns):
-            raise AtpgError(
-                f"expected {len(self.input_columns)} input words, "
-                f"got {len(input_words)}"
-            )
-        values = [0] * self.n_nets
-        for nid, word in zip(self.input_columns, input_words):
-            values[nid] = word & mask
-        for nid, constant in self.constant_nets.items():
-            values[nid] = mask if constant else 0
-        for gate in self.gates:
-            values[gate.out] = gate.op([values[i] for i in gate.ins], mask)
-        return values
-
     # ------------------------------------------------------------------
     def propagate_stem(self, good: List[int], net_id: int, value: int,
                        mask: int) -> int:

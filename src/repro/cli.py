@@ -62,7 +62,7 @@ Runtime flags (valid before or after the subcommand):
   (``$REPRO_TRACE_DIR`` is the env equivalent).
 * ``--backend python|numpy`` — kernel implementation set
   (``$REPRO_BACKEND`` is the env equivalent). Byte-identical results;
-  ``numpy`` vectorizes the fault-simulation, STA and graph kernels.
+  ``numpy`` vectorizes the fault-simulation and STA kernels.
 
 Exit status: 0 when every cell succeeded, 1 when a table rendered with
 failed cells excluded, 2 when a strict sweep aborted.

@@ -21,6 +21,7 @@ Fig. 7 edge-count analysis.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -30,7 +31,6 @@ from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
 from repro.netlist.core import PortKind
 from repro.runtime import instrument, trace
-from repro.runtime.backend import use_numpy
 
 
 #: Relative bucket offsets scanned around a node's bucket by the
@@ -105,7 +105,7 @@ def _bucket_candidates(tsvs: Sequence[str], location_of, d_th: float):
     """The grid sweep's candidate generator: a spatial hash bucketed at
     cell size ``d_th`` and a function mapping a node name to the TSV
     indices in its 3x3 bucket neighbourhood (ascending). Shared by the
-    grid-indexed sweep and the brute-force path's counter parity."""
+    full sweep and the session's incremental replay."""
     inv_cell = 1.0 / d_th
 
     def bucket_of(name: str) -> Tuple[int, int]:
@@ -217,18 +217,19 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
                     available_ffs: Sequence[str], config: WcmConfig,
                     timing_model: Optional[ReuseTimingModel] = None,
                     estimator: Optional[OverlapTestabilityEstimator] = None,
-                    use_grid: bool = True,
                     edge_memo: Optional[Dict] = None,
                     pair_log: Optional[Dict] = None) -> WcmGraph:
     """Algorithm 1: build the sharing graph for one TSV direction.
 
-    When the distance limit is active the pair sweep is grid-indexed: a
-    spatial hash bucketed at ``d_th`` yields the candidate pairs (a
-    superset of all pairs with Manhattan distance < ``d_th``), and the
-    pairs in non-neighbouring buckets are charged to
-    ``rejected_distance`` arithmetically. Candidate pairs still run the
-    exact distance check, so edges, statistics and estimator call order
-    are identical to the brute-force sweep (``use_grid=False``).
+    One scalar sweep visits the candidate pairs in per-node ascending
+    order. When the distance limit is active the candidates come from a
+    spatial hash bucketed at ``d_th`` (a superset of all pairs with
+    Manhattan distance < ``d_th``), and the pairs in non-neighbouring
+    buckets are charged to ``rejected_distance`` arithmetically.
+    Candidate pairs still run the exact distance check, so edges,
+    statistics and estimator call order are identical to the O(n²)
+    sweep of :func:`repro.verify.oracles.oracle_build_graph`, which is
+    this kernel's reference.
 
     *edge_memo* (a caller-owned dict, used by ECO sessions) memoizes
     each candidate pair's post-distance outcome — timing rejection,
@@ -277,10 +278,8 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
     check_distance = math.isfinite(d_th) and config.scenario.is_timed
 
     # ---- edge construction ----------------------------------------------
-    def consider(name_a: str, name_b: str, a_is_ff: bool,
-                 skip_distance: bool = False) -> None:
-        if check_distance and not skip_distance \
-                and model.distance_um(name_a, name_b) >= d_th:
+    def consider(name_a: str, name_b: str, a_is_ff: bool) -> None:
+        if check_distance and model.distance_um(name_a, name_b) >= d_th:
             outcome = _REJ_DISTANCE
         else:
             outcome = pair_outcome(problem, config, model, estimator,
@@ -290,125 +289,38 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
             pair_log[(name_a, name_b, a_is_ff)] = outcome
         apply_outcome(outcome, name_a, name_b, adjacency, stats, config)
 
-    total_pairs = len(tsvs) * (len(tsvs) - 1) // 2 + len(ffs) * len(tsvs)
-    if not (check_distance and use_grid):
-        for i, tsv_a in enumerate(tsvs):
-            for tsv_b in tsvs[i + 1:]:
-                consider(tsv_a, tsv_b, a_is_ff=False)
-        for ff in ffs:
-            for tsv in tsvs:
-                consider(ff, tsv, a_is_ff=True)
-        # Counter parity with the grid-indexed path (so `repro trace
-        # diff` sees no drift between modes): report the candidate/
-        # skipped split the grid sweep would have produced over the
-        # same geometry. With no distance check there is no grid — the
-        # sweep visits every pair; with one, recount the 3x3 bucket
-        # candidates without re-running any feasibility work.
-        if not check_distance:
-            candidate_pairs = total_pairs
-        elif d_th <= 0.0:
-            candidate_pairs = 0
-        else:
-            candidates = _bucket_candidates(tsvs, problem.location_of, d_th)
-            candidate_pairs = sum(
-                sum(1 for j in candidates(tsv_a) if j > i)
-                for i, tsv_a in enumerate(tsvs))
-            candidate_pairs += sum(len(candidates(ff)) for ff in ffs)
-        instrument.count("graph.grid_candidate_pairs", candidate_pairs)
-        instrument.count("graph.grid_skipped_pairs",
-                         total_pairs - candidate_pairs)
+    if not check_distance:
+        every_tsv = list(range(len(tsvs)))
+
+        def candidates(name: str) -> List[int]:
+            return every_tsv
     elif d_th <= 0.0:
         # distance >= d_th holds for every pair: all rejected, no sweep.
-        stats.rejected_distance += total_pairs
-        instrument.count("graph.grid_candidate_pairs", 0)
-        instrument.count("graph.grid_skipped_pairs", total_pairs)
+        def candidates(name: str) -> List[int]:
+            return []
     else:
         # Spatial hash at cell size d_th: any pair with Manhattan
         # distance < d_th sits in the same or an adjacent bucket, so
         # the 3x3 neighbourhood is a sound candidate superset.
-        location_of = problem.location_of
-        candidates = _bucket_candidates(tsvs, location_of, d_th)
+        candidates = _bucket_candidates(tsvs, problem.location_of, d_th)
 
-        candidate_pairs = 0
-        if not use_numpy():
-            for i, tsv_a in enumerate(tsvs):
-                for j in candidates(tsv_a):
-                    if j <= i:
-                        continue
-                    candidate_pairs += 1
-                    consider(tsv_a, tsvs[j], a_is_ff=False)
-            for ff in ffs:
-                for j in candidates(ff):
-                    candidate_pairs += 1
-                    consider(ff, tsvs[j], a_is_ff=True)
-        else:
-            # Numpy backend: all candidate distance checks run as one
-            # vectorized compare, then the survivors run the remaining
-            # checks in the same per-node ascending order — edges,
-            # statistics and estimator call order are byte-identical to
-            # the scalar sweep (same float64 Manhattan arithmetic, same
-            # `< d_th` predicate against the same coordinates).
-            import numpy as np
-
-            node_names: List[str] = []
-            node_ff: List[bool] = []
-            node_js: List[List[int]] = []
-            node_x: List[float] = []
-            node_y: List[float] = []
-            for i, tsv_a in enumerate(tsvs):
-                js = [j for j in candidates(tsv_a) if j > i]
-                if js:
-                    x, y = location_of(tsv_a)
-                    node_names.append(tsv_a)
-                    node_ff.append(False)
-                    node_js.append(js)
-                    node_x.append(x)
-                    node_y.append(y)
-                    candidate_pairs += len(js)
-            for ff in ffs:
-                js = candidates(ff)
-                if js:
-                    x, y = location_of(ff)
-                    node_names.append(ff)
-                    node_ff.append(True)
-                    node_js.append(js)
-                    node_x.append(x)
-                    node_y.append(y)
-                    candidate_pairs += len(js)
-
-            if candidate_pairs:
-                counts = np.array([len(js) for js in node_js],
-                                  dtype=np.intp)
-                flat_j = np.array([j for js in node_js for j in js],
-                                  dtype=np.intp)
-                tsv_x = np.array([location_of(t)[0] for t in tsvs],
-                                 dtype=np.float64)
-                tsv_y = np.array([location_of(t)[1] for t in tsvs],
-                                 dtype=np.float64)
-                ax = np.repeat(np.array(node_x, dtype=np.float64), counts)
-                ay = np.repeat(np.array(node_y, dtype=np.float64), counts)
-                dist = (np.abs(ax - tsv_x[flat_j])
-                        + np.abs(ay - tsv_y[flat_j]))
-                keep = (dist < d_th).tolist()
-                stats.rejected_distance += keep.count(False)
-                pos = 0
-                for name, js, a_is_ff in zip(node_names, node_js,
-                                             node_ff):
-                    for offset, j in enumerate(js):
-                        if keep[pos + offset]:
-                            consider(name, tsvs[j], a_is_ff,
-                                     skip_distance=True)
-                        elif pair_log is not None:
-                            # bulk-counted above; log for the replay
-                            pair_log[(name, tsvs[j], a_is_ff)] = \
-                                _REJ_DISTANCE
-                    pos += len(js)
-        # Pairs outside the neighbourhood have distance >= d_th by
-        # construction; charge them without visiting.
-        stats.rejected_distance += total_pairs - candidate_pairs
-        instrument.count("graph.grid_candidate_pairs", candidate_pairs)
-        instrument.count("graph.grid_skipped_pairs",
-                         total_pairs - candidate_pairs)
+    candidate_pairs = 0
+    for i, tsv_a in enumerate(tsvs):
+        js = candidates(tsv_a)  # ascending: the j > i ones are a suffix
+        for j in js[bisect_right(js, i):]:
+            candidate_pairs += 1
+            consider(tsv_a, tsvs[j], a_is_ff=False)
+    for ff in ffs:
+        for j in candidates(ff):
+            candidate_pairs += 1
+            consider(ff, tsvs[j], a_is_ff=True)
+    # Pairs outside the neighbourhood have distance >= d_th by
+    # construction; charge them without visiting.
+    total_pairs = len(tsvs) * (len(tsvs) - 1) // 2 + len(ffs) * len(tsvs)
+    stats.rejected_distance += total_pairs - candidate_pairs
+    instrument.count("graph.grid_candidate_pairs", candidate_pairs)
+    instrument.count("graph.grid_skipped_pairs",
+                     total_pairs - candidate_pairs)
 
     if trace.active() is not None:
         trace.observe("graph.edges", stats.edges)

@@ -1,15 +1,17 @@
 """Kernel backend selection: pure-Python vs NumPy bit-plane kernels.
 
-Three hot kernels have two interchangeable implementations (DESIGN.md
-§11): packed-pattern fault simulation (:mod:`repro.atpg`), the STA
-arrival/required sweeps (:mod:`repro.sta.timer`) and the grid-bucket
-distance sweep (:mod:`repro.core.graph`). The *backend* names which
-implementation the process uses:
+Two hot kernels have two interchangeable implementations (DESIGN.md
+§11): packed-pattern fault simulation (:mod:`repro.atpg`) and the STA
+arrival/required sweeps (:mod:`repro.sta.timer`). The *backend* names
+which implementation the process uses:
 
 * ``python`` — the original big-int / dict kernels; no third-party
   dependencies. The default.
-* ``numpy`` — uint64 bit-plane arrays and vectorized sweeps, plus the
-  incremental PODEM implication engine. Requires :mod:`numpy`.
+* ``numpy`` — uint64 bit-plane arrays and vectorized sweeps. Requires
+  :mod:`numpy`.
+
+Everything else, PODEM and the sharing-graph sweep included, has one
+implementation that runs the same on either backend.
 
 Both backends are **byte-identical**: results, per-category statistics
 and manifest fingerprints must not depend on the choice (enforced by

@@ -10,10 +10,12 @@ any exception during build/check) as a failure to shrink.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 from typing import Callable, Dict, List, Optional
 
 from repro.atpg.engine import _FaultDispatcher
-from repro.atpg.faults import build_fault_list
+from repro.atpg.faults import Fault, FaultKind, build_fault_list
+from repro.atpg.podem import PodemGenerator
 from repro.atpg.sim import CompiledCircuit
 from repro.core.clique import CliquePartition, partition_cliques
 from repro.core.config import WcmConfig
@@ -83,6 +85,26 @@ class Subject:
         words = [rng.getrandbits(_RANDOM_BLOCK_BITS) for _ in range(count)]
         return words, mask
 
+    # The oracle side of the simulation, fault and PODEM checks: pure
+    # functions of the view and the input block, computed once.
+    @cached_property
+    def faults(self) -> List[Fault]:
+        """The collapsed stuck-at fault universe."""
+        return build_fault_list(self.view).faults
+
+    @cached_property
+    def oracle_good(self) -> Dict[str, int]:
+        """Oracle good-machine word of every net over the input block."""
+        return oracle_simulate(self.view, *self.input_blocks())
+
+    @cached_property
+    def oracle_detections(self) -> List[int]:
+        """Oracle detection word of every fault over the input block."""
+        words, mask = self.input_blocks()
+        return [oracle_detect_word(self.view, fault, words, mask,
+                                   good=self.oracle_good)
+                for fault in self.faults]
+
 
 # ---------------------------------------------------------------------------
 # Comparison helpers
@@ -132,24 +154,20 @@ def _compare_graph(label: str, kernel: WcmGraph, oracle: WcmGraph
 # Differential checks
 # ---------------------------------------------------------------------------
 def check_simulation(subject: Subject) -> List[str]:
-    """Op-tape simulation vs per-gate reference vs truth-table oracle,
-    including the reusable-buffer entry point."""
+    """Op-tape simulation vs the truth-table oracle, including the
+    reusable-buffer entry point."""
     out: List[str] = []
     circuit = subject.circuit
     words, mask = subject.input_blocks()
 
     tape = circuit.simulate(words, mask)
-    reference = circuit.simulate_reference(words, mask)
-    if tape != reference:
-        out.append("sim: tape != per-gate reference interpreter")
     buffer = circuit.make_buffer()
     circuit.simulate([0] * len(words), mask, out=buffer)  # dirty it
     reused = circuit.simulate(words, mask, out=buffer)
     if reused != tape:
         out.append("sim: buffer-reuse simulate differs from fresh")
 
-    oracle = oracle_simulate(subject.view, words, mask)
-    for name, word in oracle.items():
+    for name, word in subject.oracle_good.items():
         if tape[circuit.net_ids[name]] != word:
             out.append(f"sim: net {name!r} kernel="
                        f"{tape[circuit.net_ids[name]]:#x} oracle={word:#x}")
@@ -163,22 +181,86 @@ def check_fault_detection(subject: Subject) -> List[str]:
     the complete collapsed fault universe."""
     out: List[str] = []
     circuit = subject.circuit
-    view = subject.view
     words, mask = subject.input_blocks()
-    faults = build_fault_list(view)
-    dispatcher = _FaultDispatcher(circuit, faults.faults)
+    dispatcher = _FaultDispatcher(circuit, subject.faults)
     good = circuit.simulate(words, mask)
-    oracle_good = oracle_simulate(view, words, mask)
-    for index, fault in enumerate(faults.faults):
+    for index, fault in enumerate(subject.faults):
         kernel = dispatcher.detect_word(circuit, good, index, mask)
-        oracle = oracle_detect_word(view, fault, words, mask,
-                                    good=oracle_good)
+        oracle = subject.oracle_detections[index]
         if kernel != oracle:
             out.append(f"fault {fault.kind.name} sa{int(fault.polarity)} "
                        f"{fault.net!r} (owner={fault.owner!r}): kernel="
                        f"{kernel:#x} oracle={oracle:#x}")
             if len(out) > 6:
                 break
+    return out
+
+
+def check_podem(subject: Subject) -> List[str]:
+    """PODEM verdicts vs the forced-resimulation oracle, over the full
+    collapsed fault list plus a justification of every stem net to 0
+    and to 1.
+
+    3-valued implication is sound, so a "detected" cube must detect
+    (or justify) under *any* fill of its don't-cares; both the all-0
+    and the all-1 fill are checked, packed as one 2-pattern block. An
+    "untestable" verdict must hold over the subject's input block:
+    every input pattern when there are few enough inputs to enumerate,
+    a random sample otherwise. Aborted searches claim nothing."""
+    out: List[str] = []
+    circuit = subject.circuit
+    view = subject.view
+    generator = PodemGenerator(circuit)
+    _words, mask = subject.input_blocks()
+
+    def fills(assignment) -> List[int]:
+        # bit 0 fills every don't-care with 0, bit 1 with 1
+        return [(0b11 if assignment[nid] else 0b00)
+                if nid in assignment else 0b10
+                for nid in circuit.input_columns]
+
+    def named(assignment) -> Dict[str, int]:
+        return {circuit.net_names[nid]: value
+                for nid, value in sorted(assignment.items())}
+
+    for index, fault in enumerate(subject.faults):
+        outcome = generator.run(fault)
+        if outcome.status == "detected":
+            detect = oracle_detect_word(view, fault,
+                                        fills(outcome.assignment), 0b11)
+            if detect != 0b11:
+                missed = ("0-fill", "1-fill", "both fills")[
+                    (detect ^ 0b11) - 1]
+                out.append(f"podem[{fault.describe()}]: detected cube "
+                           f"{named(outcome.assignment)} misses the "
+                           f"fault on its {missed}")
+        elif outcome.status == "untestable" \
+                and subject.oracle_detections[index]:
+            out.append(f"podem[{fault.describe()}]: untestable, but an "
+                       f"oracle pattern detects it")
+        if len(out) > 6:
+            return out
+
+    stems = sorted({f.net for f in subject.faults
+                    if f.kind is FaultKind.STEM})
+    for net in stems:
+        for value in (0, 1):
+            outcome = generator.justify(circuit.net_ids[net], value)
+            if outcome.status == "detected":
+                got = oracle_simulate(view, fills(outcome.assignment),
+                                      0b11)[net]
+                if got != (0b11 if value else 0b00):
+                    out.append(f"podem[justify {net}={value}]: cube "
+                               f"{named(outcome.assignment)} fills to "
+                               f"{got:#04b}")
+            elif outcome.status == "untestable":
+                good = subject.oracle_good[net]
+                if (good if value else ~good) & mask:
+                    out.append(f"podem[justify {net}={value}]: "
+                               f"untestable, but an oracle pattern "
+                               f"reaches it")
+            if len(out) > 6:
+                return out
     return out
 
 
@@ -222,28 +304,18 @@ def check_sta_reuse(subject: Subject) -> List[str]:
 
 
 def check_graph(subject: Subject) -> List[str]:
-    """Grid-indexed sweep vs brute-force kernel path vs O(n^2) oracle,
-    for both TSV directions."""
+    """Grid-indexed sweep vs the O(n^2) oracle, for both TSV
+    directions."""
     out: List[str] = []
     problem = subject.problem
-    config = subject.config
     ffs = list(problem.scan_ffs)
     for kind in _TSV_KINDS:
-        grid = build_wcm_graph(problem, kind, ffs, config,
-                               timing_model=subject.fresh_model(),
-                               estimator=subject.fresh_estimator(),
-                               use_grid=True)
-        brute = build_wcm_graph(problem, kind, ffs, config,
-                                timing_model=subject.fresh_model(),
-                                estimator=subject.fresh_estimator(),
-                                use_grid=False)
-        oracle = oracle_build_graph(problem, kind, ffs, config,
+        kernel = subject.kernel_graph(kind)
+        oracle = oracle_build_graph(problem, kind, ffs, subject.config,
                                     timing_model=subject.fresh_model(),
                                     estimator=subject.fresh_estimator())
-        out += _compare_graph(f"graph[{kind.name}] grid-vs-brute",
-                              grid, brute)
         out += _compare_graph(f"graph[{kind.name}] kernel-vs-oracle",
-                              grid, oracle)
+                              kernel, oracle)
     return out
 
 
@@ -633,6 +705,7 @@ def check_schedule(subject: Subject) -> List[str]:
 CHECKS: Dict[str, Callable[[Subject], List[str]]] = {
     "sim": check_simulation,
     "faults": check_fault_detection,
+    "podem": check_podem,
     "sta": check_sta,
     "sta-reuse": check_sta_reuse,
     "graph": check_graph,

@@ -180,6 +180,7 @@ def _checks_of(divergences: List[str]) -> List[str]:
     out: List[str] = []
     for line in divergences:
         for name, prefix in (("sim", "sim"), ("faults", "fault"),
+                             ("podem", "podem"),
                              ("sta-reuse", "sta[reuse"), ("sta", "sta"),
                              ("graph", "graph"), ("clique", "clique"),
                              ("meta-isometry", "meta[rotate"),

@@ -25,7 +25,7 @@ from repro.verify.fuzz import spec_for_iteration
 @contextlib.contextmanager
 def _mutant_sim_opcode_swap() -> Iterator[None]:
     """AND2 compiles to the OR2 opcode: the op-tape disagrees with the
-    per-gate reference and the truth-table oracle on any AND2 gate."""
+    truth-table oracle on any AND2 gate."""
     from repro.atpg import sim
 
     original = sim._OPCODES[("and", 2)]
@@ -106,6 +106,26 @@ def _mutant_cone_bitset_alias() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def _mutant_podem_activation_is_detection() -> Iterator[None]:
+    """PODEM stops as soon as the fault site is activated: cubes that
+    never propagate the fault effect are reported as tests."""
+    from repro.atpg import podem
+
+    original = podem.PodemGenerator._check_arr
+
+    def eager(self, fs, site_net, stuck) -> str:
+        if self._gv_arr[site_net] == 1 - stuck:
+            return "detected"
+        return original(self, fs, site_net, stuck)
+
+    podem.PodemGenerator._check_arr = eager
+    try:
+        yield
+    finally:
+        podem.PodemGenerator._check_arr = original
+
+
+@contextlib.contextmanager
 def _mutant_schedule_chain_drop() -> Iterator[None]:
     """The wrapper-chain designer loses the last wrapper cell: the
     chains no longer partition the cell set, so the die under-tests."""
@@ -172,6 +192,9 @@ MUTANTS: Dict[str, tuple] = {
                         _mutant_obs_branch_dead),
     "cone-bitset-alias": ("cone bitsets share a phantom overlap bit",
                           _mutant_cone_bitset_alias),
+    "podem-activation-is-detection": (
+        "PODEM reports detection on fault activation",
+        _mutant_podem_activation_is_detection),
     "schedule-chain-drop": ("wrapper designer drops the last cell",
                             _mutant_schedule_chain_drop),
     "schedule-pack-overlap": ("packer never raises the skyline",

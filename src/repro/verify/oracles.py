@@ -16,6 +16,11 @@ op-tape block simulation        per-pattern truth-table lookup via
                                 topological order, no packing tricks)
 event-driven fault propagation  full forced re-simulation of the
                                 faulty machine for every fault
+PODEM test generation           each detected cube replayed through
+(``atpg/podem.py``)             the fault oracle under both
+                                don't-care fills; each untestable
+                                verdict checked over every input
+                                pattern (random ones on big circuits)
 levelized STA with reusable     path-enumeration: memoized recursion
 context (``sta/timer.py``)      over the netlist, all loads and wire
                                 delays recomputed from scratch
@@ -36,7 +41,9 @@ Contracts the oracles pin down (and the fuzzer cross-checks):
   choice: when a gate ties one net to several pins, the fault forces
   the first matching pin in cell pin order;
 * the STA oracle replicates the kernel's published asymmetries (e.g.
-  output-port required times relax without a constant-net check).
+  output-port required times relax without a constant-net check);
+* PODEM is checked for soundness, not identity: a cube or verdict is a
+  claim the oracle must confirm, and an aborted search claims nothing.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Three kernels were specialized for speed (DESIGN.md §6): the op-tape
 block simulator, the reusable STA context, and the grid-indexed graph
-sweep. Each must be *byte-identical* to the straightforward
-implementation; these tests pin that down on random circuits and on a
-real die.
+sweep. Each must be *byte-identical* to a straightforward reference —
+the truth-table simulation and O(n^2) graph oracles of
+:mod:`repro.verify.oracles`, a fresh STA analyzer — and these tests pin
+that down on random circuits and on a real die.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from repro.place.placer import place_die
 from repro.sta.constraints import ClockConstraint
 from repro.sta.timer import TimingAnalyzer, TimingContext, default_case
 from repro.util.rng import DeterministicRng
+from repro.verify.oracles import oracle_build_graph, oracle_simulate
 
 from tests.test_properties import random_circuit
 
@@ -48,36 +50,48 @@ def kernel_backend(request):
     configure(backend="python")
 
 
+def _view(seed: int, n_gates: int = 30, n_inputs: int = 5):
+    return build_prebond_test_view(random_circuit(seed, n_gates, n_inputs))
+
+
 def _compiled(seed: int, n_gates: int = 30, n_inputs: int = 5):
-    netlist = random_circuit(seed, n_gates, n_inputs)
-    return CompiledCircuit(build_prebond_test_view(netlist))
+    return CompiledCircuit(_view(seed, n_gates, n_inputs))
+
+
+def _assert_matches_oracle(circuit, view, values, words):
+    """Every net's simulated word equals the truth-table oracle's."""
+    oracle = oracle_simulate(view, words, _MASK)
+    assert {name: values[circuit.net_ids[name]] for name in oracle} \
+        == oracle
 
 
 # ---------------------------------------------------------------------------
-# Op-tape block simulator vs the per-gate reference interpreter
+# Op-tape block simulator vs the truth-table simulation oracle
 # ---------------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_tape_matches_reference_interpreter(seed):
-    circuit = _compiled(seed)
+    view = _view(seed)
+    circuit = CompiledCircuit(view)
     rng = DeterministicRng(seed)
     words = [rng.getrandbits(_WIDTH) for _ in range(circuit.input_count)]
-    assert circuit.simulate(words, _MASK) \
-        == circuit.simulate_reference(words, _MASK)
+    _assert_matches_oracle(circuit, view, circuit.simulate(words, _MASK),
+                           words)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_tape_buffer_reuse_is_transparent(seed):
     """Reusing one values buffer across blocks changes nothing."""
-    circuit = _compiled(seed)
+    view = _view(seed)
+    circuit = CompiledCircuit(view)
     rng = DeterministicRng(seed)
     buffer = circuit.make_buffer()
     for _ in range(3):
         words = [rng.getrandbits(_WIDTH) for _ in range(circuit.input_count)]
         reused = circuit.simulate(words, _MASK, out=buffer)
         assert reused is buffer
-        assert reused == circuit.simulate_reference(words, _MASK)
+        _assert_matches_oracle(circuit, view, reused, words)
 
 
 @settings(max_examples=15, deadline=None)
@@ -165,7 +179,7 @@ def test_context_full_invalidation(medium_die):
 
 
 # ---------------------------------------------------------------------------
-# Grid-indexed edge sweep vs the brute-force O(n^2) sweep
+# Grid-indexed edge sweep vs the brute-force O(n^2) oracle
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def timed_problem(medium_die):
@@ -183,8 +197,8 @@ def test_grid_sweep_matches_brute_force(timed_problem, kind, d_th_fraction):
                                  d_th_fraction=d_th_fraction,
                                  d_th_um=math.inf)
     ffs = timed_problem.scan_ffs
-    grid = build_wcm_graph(timed_problem, kind, ffs, config, use_grid=True)
-    brute = build_wcm_graph(timed_problem, kind, ffs, config, use_grid=False)
+    grid = build_wcm_graph(timed_problem, kind, ffs, config)
+    brute = oracle_build_graph(timed_problem, kind, ffs, config)
     assert grid.adjacency == brute.adjacency
     assert grid.stats == brute.stats
     assert grid.nodes == brute.nodes
@@ -247,9 +261,8 @@ def test_grid_sweep_zero_threshold_rejects_all_pairs(timed_problem):
         WcmConfig.ours(Scenario.performance_optimized(period)),
         d_th_fraction=None, d_th_um=0.0)
     ffs = timed_problem.scan_ffs
-    grid = build_wcm_graph(timed_problem, PortKind.TSV_INBOUND, ffs, config,
-                           use_grid=True)
-    brute = build_wcm_graph(timed_problem, PortKind.TSV_INBOUND, ffs, config,
-                            use_grid=False)
+    grid = build_wcm_graph(timed_problem, PortKind.TSV_INBOUND, ffs, config)
+    brute = oracle_build_graph(timed_problem, PortKind.TSV_INBOUND, ffs,
+                               config)
     assert grid.stats == brute.stats
     assert grid.stats.edges == 0

@@ -1,13 +1,18 @@
 """Tests for the PODEM generator (5-valued search, SCOAP, X-path)."""
 
+import itertools
+
 import pytest
 
+from repro.atpg import podem
 from repro.atpg.engine import _FaultDispatcher, _patterns_to_words
 from repro.atpg.faults import Fault, FaultKind, Polarity, build_fault_list
 from repro.atpg.podem import PodemGenerator, X, _eval3
 from repro.atpg.sim import CompiledCircuit
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.builder import NetlistBuilder
+from repro.netlist.library import LOGIC_FUNCTIONS
+from repro.util.errors import AtpgError
 
 
 class TestEval3:
@@ -36,6 +41,28 @@ class TestEval3:
         assert _eval3("oai21", [0, 0, X]) == 1
         assert _eval3("oai21", [X, 0, 1]) == X
 
+    @pytest.mark.parametrize("op", sorted(podem._OP3_CODES))
+    def test_op_code_evaluators_match(self, op):
+        """The search's op-code evaluators agree with `_eval3` on every
+        3-valued input, for every arity the library produces."""
+        code = podem._OP3_CODES[op]
+        arities = {"buf": (1,), "inv": (1,), "mux2": (3,), "aoi21": (3,),
+                   "oai21": (3,)}.get(op, (2, 3))
+        for arity in arities:
+            for vals in itertools.product((0, 1, X), repeat=arity):
+                want = _eval3(op, list(vals))
+                assert podem._eval3_arr(code, range(arity),
+                                        list(vals)) == want
+                for pos, stuck in itertools.product(range(arity), (0, 1)):
+                    pinned = list(vals)
+                    pinned[pos] = stuck
+                    assert podem._eval3_pinned(
+                        code, range(arity), list(vals), pos,
+                        stuck) == _eval3(op, pinned)
+
+    def test_op_codes_cover_the_library(self):
+        assert set(podem._OP3_CODES) == set(LOGIC_FUNCTIONS)
+
 
 def redundant_view():
     """out = OR(x, AND(x, y)) == x — the AND's faults are untestable."""
@@ -50,6 +77,14 @@ def redundant_view():
 
 
 class TestPodemVerdicts:
+    def test_gate_without_3valued_model_fails_at_construction(
+            self, monkeypatch):
+        view, _netlist = redundant_view()
+        circuit = CompiledCircuit(view)
+        monkeypatch.delitem(podem._OP3_CODES, "and")
+        with pytest.raises(AtpgError, match="no 3-valued model for and"):
+            PodemGenerator(circuit)
+
     def test_detects_testable_fault(self):
         view, netlist = redundant_view()
         circuit = CompiledCircuit(view)
@@ -140,3 +175,23 @@ class TestPodemAgainstSimulator:
         for gate in circuit.gates[:20]:
             assert generator._cc0[gate.out] > 0
             assert generator._cc1[gate.out] > 0
+
+
+class TestPodemOracleCheck:
+    def test_check_registered_and_clean(self):
+        from repro.verify.checks import CHECKS, run_checks
+        from repro.verify.fuzz import _checks_of, spec_for_iteration
+
+        assert "podem" in CHECKS
+        assert run_checks(spec_for_iteration(0, 0), ["podem"]) == []
+        assert _checks_of(["podem[x s-a-0]: ..."]) == ["podem"]
+
+    def test_activation_mutant_killed(self):
+        """A PODEM that calls activation detection is caught by the
+        oracle replay of its cubes."""
+        from repro.verify.mutants import self_check
+
+        results = self_check(root_seed=0, budget=10, checks=["podem"],
+                             mutant_names=["podem-activation-is-detection"])
+        assert all(r.killed for r in results), \
+            [(r.name, r.killed) for r in results]
