@@ -113,8 +113,9 @@ def test_bench_event_propagation(benchmark, kernel_die):
     assert detect != 0
 
 
-def test_bench_graph_timed(benchmark, kernel_problem, backend):
-    """Grid-indexed edge sweep under the tight clock (distance active)."""
+def test_bench_graph_timed(benchmark, kernel_problem):
+    """Grid-indexed edge sweep under the tight clock (distance active);
+    one implementation, so no backend axis."""
     clock = tight_clock_for(kernel_problem)
     problem = kernel_problem.retime(clock)
     config = WcmConfig.ours(Scenario.performance_optimized(clock.period_ps))

@@ -28,7 +28,7 @@ from repro.atpg.faults import Fault, FaultKind, FaultList, build_fault_list
 from repro.atpg.podem import PodemGenerator
 from repro.atpg.sim import CompiledCircuit
 from repro.dft.testview import TestView
-from repro.runtime import instrument
+from repro.runtime import trace
 from repro.util.errors import AtpgError, ConfigError
 from repro.util.rng import DeterministicRng
 
@@ -217,13 +217,13 @@ class AtpgEngine:
         good_buffer = circuit.make_buffer()
 
         # ---- phase 1: random blocks with dropping ----------------------
-        with instrument.phase("atpg.random"):
+        with trace.span("atpg.random", kind="phase"):
             idle = 0
             for _block in range(config.max_random_blocks):
                 active = [i for i, s in enumerate(status) if s == _ACTIVE]
                 if not active:
                     break
-                instrument.count("atpg.random_blocks")
+                trace.inc("atpg.random_blocks")
                 input_words = [self.rng.getrandbits(config.block_width)
                                for _ in range(columns)]
                 good = circuit.simulate(input_words, mask, out=good_buffer)
@@ -247,7 +247,7 @@ class AtpgEngine:
                             pattern |= (1 << j)
                     kept_patterns.append(pattern)
                     random_kept += 1
-        instrument.count("atpg.random_patterns", random_kept)
+        trace.inc("atpg.random_patterns", random_kept)
 
         # ---- phase 2: PODEM top-up -------------------------------------
         generator = PodemGenerator(circuit, config.backtrack_limit)
@@ -283,7 +283,7 @@ class AtpgEngine:
 
         podem_budget = config.podem_fault_limit
         attempts = 0
-        with instrument.phase("atpg.podem"):
+        with trace.span("atpg.podem", kind="phase"):
             for fault_index, fault in enumerate(faults):
                 if status[fault_index] != _ACTIVE:
                     continue
@@ -291,8 +291,8 @@ class AtpgEngine:
                     break
                 attempts += 1
                 outcome = generator.run(fault)
-                instrument.count("atpg.podem_attempts")
-                instrument.count("atpg.podem_backtracks", outcome.backtracks)
+                trace.inc("atpg.podem_attempts")
+                trace.inc("atpg.podem_backtracks", outcome.backtracks)
                 if outcome.status == "untestable":
                     status[fault_index] = _UNTESTABLE
                 elif outcome.status == "aborted":
@@ -313,11 +313,11 @@ class AtpgEngine:
                         status[fault_index] = _ACTIVE
                         flush_batch()
             flush_batch()
-        instrument.count("atpg.deterministic_patterns", deterministic_kept)
+        trace.inc("atpg.deterministic_patterns", deterministic_kept)
 
         # ---- phase 3: optional reverse-order compaction ------------------
         if config.compaction and kept_patterns:
-            with instrument.phase("atpg.compaction"):
+            with trace.span("atpg.compaction", kind="phase"):
                 kept_patterns = self._compact(kept_patterns)
 
         detected = sum(1 for s in status if s == _DETECTED)

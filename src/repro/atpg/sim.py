@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dft.testview import TestView
 from repro.netlist.library import LOGIC_FUNCTIONS
-from repro.runtime import instrument
+from repro.runtime import trace
 from repro.util.errors import AtpgError
 
 
@@ -275,7 +275,7 @@ class CompiledCircuit:
             else:
                 values[entry[1]] = entry[2](
                     [values[i] for i in entry[3]], mask)
-        instrument.count("sim.tape_blocks")
+        trace.inc("sim.tape_blocks")
         return values
 
     # ------------------------------------------------------------------
@@ -436,7 +436,7 @@ class CompiledCircuit:
                     queued.add(dependent)
                     heapq.heappush(heap, dependent)
 
-        instrument.count("sim.propagate_events", events)
+        trace.inc("sim.propagate_events", events)
         detect = 0
         observed = self.observed
         for nid, word in changed.items():

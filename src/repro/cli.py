@@ -8,8 +8,9 @@ Commands:
 * ``all-tables`` (alias ``tables``) — everything, in paper order,
 * ``die <circuit> <die>`` — run both methods on one die and print the
   head-to-head (plus ``--atpg`` for coverage, ``--area`` for um²),
-* ``profile <circuit> <die>`` — run both methods instrumented and
-  print per-phase wall-clock timers and work counters,
+* ``profile <circuit> <die>`` — run both methods under
+  ``trace.collect()`` and print their counters, histograms and per-span
+  rounds and wall-clock, in the ``trace show`` format,
 * ``export <path>`` — write every table as markdown into a results file,
 * ``fuzz`` — differentially fuzz the optimized kernels against the
   brute-force oracles (``--budget N`` / ``--seconds S``; ``--self-check``
@@ -178,13 +179,13 @@ def _cmd_die(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Instrumented head-to-head of one die: where does the time go?"""
+    """Traced head-to-head of one die: where does the time go?"""
     from repro.atpg.engine import AtpgConfig
     from repro.bench import die_profile, generate_die
     from repro.core import Scenario, WcmConfig, build_problem, run_wcm_flow
     from repro.core.flow import measure_testability
     from repro.core.problem import tight_clock_for
-    from repro.runtime import instrument
+    from repro.runtime import trace
 
     seed = getattr(args, "seed", 2019)
     profile = die_profile(args.circuit, args.die)
@@ -197,16 +198,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for method_name, config in (
             ("agrawal", WcmConfig.agrawal(scenario)),
             ("ours", WcmConfig.ours(scenario))):
-        with instrument.collect() as report:
+        with trace.collect() as collected:
             started = time.perf_counter()
             run = run_wcm_flow(problem_tight, config)
             if args.atpg:
                 measure_testability(run, AtpgConfig(seed=seed),
                                     include_transition=False)
             elapsed = time.perf_counter() - started
-        print(report.render(
-            title=f"{profile.name} {method_name}/tight — "
-                  f"{elapsed:.2f}s wall-clock"))
+        print(trace.render_manifest({
+            "label": f"{profile.name} {method_name}/tight — "
+                     f"{elapsed:.2f}s wall-clock",
+            "metrics": collected.metrics.to_payload(),
+            "timings": collected.bench_timings()}))
     return 0
 
 
@@ -732,7 +735,7 @@ def main(argv=None) -> int:
 
     profile_parser = sub.add_parser(
         "profile", parents=[common],
-        help="instrumented per-phase timing of one die")
+        help="per-phase timing and work counters of one die")
     profile_parser.add_argument("circuit")
     profile_parser.add_argument("die", type=int)
     profile_parser.add_argument("--atpg", action="store_true",

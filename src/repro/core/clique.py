@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.graph import WcmGraph
 from repro.core.timing_model import CliqueTimingState, ReuseTimingModel
 from repro.netlist.core import PortKind
-from repro.runtime import instrument, trace
+from repro.runtime import trace
 
 
 @dataclass
@@ -222,9 +222,9 @@ def partition_cliques(graph: WcmGraph, model: ReuseTimingModel,
     rescued = _absorb_singletons(graph, merged_state, cliques)
     merges += rescued
 
-    instrument.count("clique.merges", merges)
-    instrument.count("clique.rejected_merges", rejected)
-    instrument.count("clique.singleton_rescues", rescued)
+    trace.inc("clique.merges", merges)
+    trace.inc("clique.rejected_merges", rejected)
+    trace.inc("clique.singleton_rescues", rescued)
     if trace.active() is not None:
         for clique in cliques:
             trace.observe("clique.size", len(clique.tsvs))
@@ -298,10 +298,9 @@ def repartition(graph: WcmGraph, model: ReuseTimingModel,
     in previous partitions.
     """
     if not dirty_nodes:
-        instrument.count("clique.merges", frozen.merges)
-        instrument.count("clique.rejected_merges", frozen.rejected_merges)
-        instrument.count("clique.singleton_rescues",
-                         frozen.singleton_rescues)
+        trace.inc("clique.merges", frozen.merges)
+        trace.inc("clique.rejected_merges", frozen.rejected_merges)
+        trace.inc("clique.singleton_rescues", frozen.singleton_rescues)
         if trace.active() is not None:
             for clique in frozen.cliques:
                 trace.observe("clique.size", len(clique.tsvs))

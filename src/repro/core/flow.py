@@ -36,7 +36,7 @@ from repro.dft.testview import build_prebond_test_view
 from repro.dft.wrapper import InsertionReport, WrapperGroup, WrapperPlan, insert_wrappers
 from repro.netlist.core import Netlist, PortKind
 from repro.netlist.topology import fanin_cone
-from repro.runtime import instrument
+from repro.runtime import trace
 from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.errors import ConfigError
 
@@ -241,10 +241,10 @@ def signoff_build(problem: WcmProblem, plan: WrapperPlan, config: WcmConfig
                              TimingResult]:
     """One sign-off round's physical build + STA: insert the plan,
     restitch, analyze both sign-off modes."""
-    with instrument.phase("flow.insertion"):
+    with trace.span("flow.insertion", kind="phase"):
         wrapped, report = insert_wrappers(problem.netlist, plan)
         stitch_scan_chains(wrapped, restitch=True)
-    with instrument.phase("flow.sta"):
+    with trace.span("flow.sta", kind="phase"):
         # One context serves both sign-off modes: the graph prep
         # (positions, loads, wire delays) is shared, only the
         # arrival/required sweeps differ per case.
@@ -315,10 +315,10 @@ def run_wcm_flow(problem: WcmProblem, config: WcmConfig,
     partitions: Dict[str, CliquePartition] = {}
 
     for kind in order:
-        with instrument.phase("flow.graph"):
+        with trace.span("flow.graph", kind="phase"):
             graph = hooks.build_graph(problem, kind, all_ffs, config,
                                       model, estimator)
-        with instrument.phase("flow.partition"):
+        with trace.span("flow.partition", kind="phase"):
             partition = hooks.partition(graph, model)
         graph_stats[kind.value] = graph.stats
         partitions[kind.value] = partition
@@ -328,9 +328,9 @@ def run_wcm_flow(problem: WcmProblem, config: WcmConfig,
             if clique.ff is not None and clique.tsvs and clique.state:
                 ledger.commit(clique.ff, clique.state)
         # ...then FF-less cliques adopt FFs with remaining budget.
-        with instrument.phase("flow.adoption"):
+        with trace.span("flow.adoption", kind="phase"):
             adopted = _adopt_ffs(problem, graph, partition, model, ledger)
-        instrument.count("flow.adopted_ffs", adopted)
+        trace.inc("flow.adopted_ffs", adopted)
 
         for clique in partition.cliques:
             if not clique.tsvs:
@@ -353,7 +353,7 @@ def run_wcm_flow(problem: WcmProblem, config: WcmConfig,
               if (config.signoff_repair and config.scenario.is_timed) else 1)
     wrapped = report = functional_timing = test_timing = None
     for _round in range(max(1, rounds)):
-        instrument.count("flow.eco_rounds")
+        trace.inc("flow.eco_rounds")
         wrapped, report, functional_timing, test_timing = \
             hooks.signoff(problem, plan, config)
         if not (config.signoff_repair and config.scenario.is_timed):
@@ -368,7 +368,7 @@ def run_wcm_flow(problem: WcmProblem, config: WcmConfig,
             wrapped, report, plan, violations, evict_budget=budget)
         if not changed:
             break
-        instrument.count("flow.eco_repairs")
+        trace.inc("flow.eco_repairs")
 
     return WcmRunResult(
         die_name=problem.netlist.name,

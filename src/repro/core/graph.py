@@ -30,7 +30,7 @@ from repro.core.problem import WcmProblem
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
 from repro.netlist.core import PortKind
-from repro.runtime import instrument, trace
+from repro.runtime import trace
 
 
 #: Relative bucket offsets scanned around a node's bucket by the
@@ -87,7 +87,7 @@ def _cone_bitsets(problem: WcmProblem, names: Sequence[str], kind: PortKind
     for name in names:
         value = bitsets.get(name)
         if value is None:
-            instrument.count("graph.cone_bitset_builds")
+            trace.inc("graph.cone_bitset_builds")
             cone = problem.cones.gate_cone(name, kind)
             value = 0
             for item in cone:
@@ -318,9 +318,8 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
     # construction; charge them without visiting.
     total_pairs = len(tsvs) * (len(tsvs) - 1) // 2 + len(ffs) * len(tsvs)
     stats.rejected_distance += total_pairs - candidate_pairs
-    instrument.count("graph.grid_candidate_pairs", candidate_pairs)
-    instrument.count("graph.grid_skipped_pairs",
-                     total_pairs - candidate_pairs)
+    trace.inc("graph.grid_candidate_pairs", candidate_pairs)
+    trace.inc("graph.grid_skipped_pairs", total_pairs - candidate_pairs)
 
     if trace.active() is not None:
         trace.observe("graph.edges", stats.edges)

@@ -58,7 +58,7 @@ from repro.core.timing_model import ReuseTimingModel
 from repro.dft.scan import _serpentine_order, stitch_scan_chains
 from repro.dft.wrapper import InsertionReport, insert_wrappers
 from repro.netlist.core import Netlist, PortKind
-from repro.runtime import instrument, trace
+from repro.runtime import trace
 from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.errors import ConfigError
 
@@ -279,7 +279,7 @@ class WcmSession:
         self.fallback_ratio = fallback_ratio
         self._clock = config.scenario.clock
         self.netlist = netlist
-        with instrument.phase("session.load"):
+        with trace.span("session.load", kind="phase"):
             self.problem = build_problem(
                 netlist, clock=self._clock, placement=placement,
                 already_prepared=already_prepared)
@@ -311,7 +311,7 @@ class WcmSession:
     # ------------------------------------------------------------------
     def apply(self, edit: Edit) -> None:
         """Queue one edit; the next :meth:`solve` accounts for it."""
-        instrument.count("session.edits")
+        trace.inc("session.edits")
         self.edit_count += 1
         netlist = self.netlist
         if isinstance(edit, MoveFf):
@@ -383,7 +383,7 @@ class WcmSession:
     # ------------------------------------------------------------------
     def solve(self) -> WcmRunResult:
         """Re-solve the die under the pending edits."""
-        with instrument.phase("session.solve"):
+        with trace.span("session.solve", kind="phase"):
             return self._solve()
 
     def _solve(self) -> WcmRunResult:
@@ -430,7 +430,7 @@ class WcmSession:
     def _fallback(self, reason: str) -> None:
         """Drop the scoped path: rebuild the problem cold and let the
         memo caches refill on the way through the flow."""
-        instrument.count("session.fallback")
+        trace.inc("session.fallback")
         self.last_fallback = reason
         self.problem = build_problem(self.netlist, clock=self._clock,
                                      already_prepared=True)
@@ -472,20 +472,20 @@ class WcmSession:
         dirty_nets = self._mirror_positions(
             dedicated, self._moved, self._base_rev)
         if self._dedicated_order() != self._base_order:
-            instrument.count("session.restitch")
+            trace.inc("session.restitch")
             self.last_fallback = "restitch"
-            with instrument.phase("session.restitch"):
+            with trace.span("session.restitch", kind="phase"):
                 dirty_nets |= _restitch_in_place(dedicated)
             self._base_order = self._dedicated_order()
         if context is None:
             context = problem.timing_context = TimingContext(dedicated)
-            with instrument.phase("session.baseline"):
+            with trace.span("session.baseline", kind="phase"):
                 timing = context.analyze(
                     self._clock, case=default_case(dedicated, test_mode=0))
                 test_timing = context.analyze(
                     self._clock, case=default_case(dedicated, test_mode=1))
         else:
-            with instrument.phase("session.baseline"):
+            with trace.span("session.baseline", kind="phase"):
                 context.invalidate_nets(sorted(dirty_nets))
                 timing = context.analyze_delta(
                     self._clock, case=default_case(dedicated, test_mode=0),
@@ -721,10 +721,10 @@ class WcmSession:
                        + len(ffs) * len(tsvs))
         candidate_pairs = len(pair_log)
         stats.rejected_distance += total_pairs - candidate_pairs
-        instrument.count("graph.grid_candidate_pairs", candidate_pairs)
-        instrument.count("graph.grid_skipped_pairs",
-                         total_pairs - candidate_pairs)
-        instrument.count("session.graph_replays")
+        trace.inc("graph.grid_candidate_pairs", candidate_pairs)
+        trace.inc("graph.grid_skipped_pairs",
+                  total_pairs - candidate_pairs)
+        trace.inc("session.graph_replays")
         if trace.active() is not None:
             trace.observe("graph.edges", stats.edges)
         return WcmGraph(kind=kind, nodes=nodes, is_ff=is_ff,
@@ -762,16 +762,16 @@ class WcmSession:
                      if entry.positions.get(name) != pos]
             hit = self._warm_signoff(entry, moved)
             if hit:
-                instrument.count("session.signoff_hits")
+                trace.inc("session.signoff_hits")
                 entry.positions = positions
                 return (entry.wrapped, entry.report, entry.functional,
                         entry.test)
         # same steps (and counters) as flow.signoff_build, but keeping
         # the TimingContext so later solves can delta-time this build
-        with instrument.phase("flow.insertion"):
+        with trace.span("flow.insertion", kind="phase"):
             wrapped, report = insert_wrappers(problem.netlist, plan)
             stitch_scan_chains(wrapped, restitch=True)
-        with instrument.phase("flow.sta"):
+        with trace.span("flow.sta", kind="phase"):
             context = TimingContext(wrapped)
             functional = context.analyze(
                 self._clock, case=default_case(wrapped, test_mode=0))
@@ -796,7 +796,7 @@ class WcmSession:
         join the dirty set."""
         if not moved:
             return True
-        with instrument.phase("flow.insertion"):
+        with trace.span("flow.insertion", kind="phase"):
             dirty = self._mirror_positions(entry.wrapped, moved,
                                            entry.anchors_rev)
             order = [ff.name for ff in
@@ -804,7 +804,7 @@ class WcmSession:
             if order != entry.order:
                 dirty |= _restitch_in_place(entry.wrapped)
                 entry.order = order
-        with instrument.phase("flow.sta"):
+        with trace.span("flow.sta", kind="phase"):
             entry.context.invalidate_nets(sorted(dirty))
             entry.functional = entry.context.analyze_delta(
                 self._clock,

@@ -13,13 +13,13 @@ Five orthogonal capabilities behind one import:
 * :mod:`repro.runtime.chaos` — deterministic fault injection (worker
   crashes, cell hangs, malformed netlists, cache corruption) used to
   validate the failure semantics above,
-* :mod:`repro.runtime.instrument` — opt-in per-phase timers and
-  counters threaded through the flow, partitioner and ATPG engine,
-* :mod:`repro.runtime.trace` — structured tracing under the instrument
-  API: attributed spans streamed to JSONL event logs, a metrics
-  registry (counters/gauges/histograms) with order-independent
-  rollups, and content-fingerprinted run manifests consumed by
-  ``repro trace show|diff`` and ``repro bench gate``.
+* :mod:`repro.runtime.trace` — the one observability API: phase spans
+  and work counters threaded through the flow, partitioner, STA and
+  ATPG engine, streamed to JSONL event logs, a metrics registry
+  (counters/gauges/histograms) with order-independent rollups, a
+  scoped ``collect()`` for per-block views, and content-fingerprinted
+  run manifests consumed by ``repro trace show|diff`` and ``repro
+  bench gate``.
 
 Configuration (worker count, cache directory) lives in
 :mod:`repro.runtime.config` and is set once per process by the CLI or
@@ -27,9 +27,10 @@ environment variables.
 
 This ``__init__`` deliberately imports only the dependency-light
 modules; :mod:`repro.runtime.cache` imports the flow/ATPG types it
-serializes, which in turn import :mod:`repro.runtime.instrument` —
-importing the cache eagerly here would make that cycle real. Cache
-names are re-exported lazily via module ``__getattr__``.
+serializes, which in turn import this package (for
+:mod:`repro.runtime.trace`) — importing the cache eagerly here would
+make that cycle real. Cache names are re-exported lazily via module
+``__getattr__``.
 """
 
 from repro.runtime import trace
@@ -40,12 +41,12 @@ from repro.runtime.config import (
     current_config,
     resolve_jobs,
 )
-from repro.runtime.instrument import RunReport, collect, count, phase
-from repro.runtime.parallel import cell_seed, parallel_map
+from repro.runtime.parallel import parallel_map
 from repro.runtime.supervisor import (
     CellOutcome,
     SupervisorPolicy,
     SweepResult,
+    cell_seed,
     supervised_map,
 )
 
@@ -64,17 +65,13 @@ __all__ = [
     "CellOutcome",
     "ChaosPlan",
     "ChaosSpec",
-    "RunReport",
     "RuntimeConfig",
     "SupervisorPolicy",
     "SweepResult",
     "cell_seed",
-    "collect",
     "configure",
-    "count",
     "current_config",
     "parallel_map",
-    "phase",
     "resolve_jobs",
     "supervised_map",
     "trace",

@@ -4,8 +4,10 @@ One small mutable singleton, set once per process (from CLI flags, the
 benchmark harness, or environment variables) and read by the parallel
 map, the supervisor and the result cache:
 
-* ``jobs`` — worker processes for :func:`repro.runtime.parallel.parallel_map`
-  (``1`` = serial, the default; ``0``/``None`` = one per CPU),
+* ``jobs`` — worker processes for
+  :func:`repro.runtime.supervisor.supervised_map`, which the experiment
+  drivers run their sweeps on (``1`` = serial, the default;
+  ``0``/``None`` = one per CPU),
 * ``cache_dir`` — root of the on-disk result cache (``None`` disables),
 * ``no_cache`` — hard override disabling the cache even when a
   directory is configured,

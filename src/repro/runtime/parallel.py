@@ -22,8 +22,8 @@ Determinism contract:
 * results come back ordered, never in completion order;
 * before each cell — in the serial path *and* in workers — the global
   ``random`` module is re-seeded from
-  :func:`repro.util.rng.derive_seed` of the root seed and the cell
-  index, so even a stray library call into global ``random`` draws
+  :func:`~repro.runtime.supervisor.cell_seed` of the root seed and the
+  cell index, so even a stray library call into global ``random`` draws
   from a per-cell deterministic stream instead of whatever state the
   previous cell left behind;
 * workers inherit the parent's runtime config (cache directory) but
@@ -37,20 +37,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable, List, Optional, TypeVar
 
-from repro.runtime.supervisor import SupervisorPolicy, supervised_map
-from repro.util.rng import derive_seed
+from repro.runtime.supervisor import (  # noqa: F401 (cell_seed re-export)
+    SupervisorPolicy,
+    cell_seed,
+    supervised_map,
+)
 
 Cell = TypeVar("Cell")
 Result = TypeVar("Result")
-
-#: root label mixed into every per-cell seed derivation
-_CELL_STREAM = "runtime.cell"
-
-
-def cell_seed(root: int, *labels: object) -> int:
-    """Deterministic per-cell seed (exposed for drivers that need an
-    independent stream per cell)."""
-    return derive_seed(root, _CELL_STREAM, *labels)
 
 
 def parallel_map(fn: Callable[[Cell], Result], cells: Iterable[Cell],

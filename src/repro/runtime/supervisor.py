@@ -45,11 +45,12 @@ import random
 import struct
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.runtime import instrument, trace
+from repro.runtime import trace
 from repro.runtime.config import (
     RuntimeConfig,
     apply_config,
@@ -60,8 +61,7 @@ from repro.util.errors import CellTimeoutError, RuntimeExecutionError
 from repro.util.fingerprint import fingerprint
 from repro.util.rng import derive_seed
 
-#: root label mixed into every per-cell seed derivation (shared with
-#: repro.runtime.parallel so the two layers seed identically)
+#: root label mixed into every per-cell seed derivation
 CELL_STREAM = "runtime.cell"
 
 # Outcome statuses
@@ -114,7 +114,8 @@ def install_drain_handlers(signals: Optional[Tuple[int, ...]] = None
 
 
 def cell_seed(root: int, *labels: object) -> int:
-    """Deterministic per-cell seed (same derivation for every attempt)."""
+    """Deterministic per-cell seed (same derivation for every attempt;
+    exposed for drivers that need an independent stream per cell)."""
     return derive_seed(root, CELL_STREAM, *labels)
 
 
@@ -354,17 +355,20 @@ def _worker_main(conn, config: RuntimeConfig, fn: Callable, seed: int,
         index, attempt, cell = task
         random.seed(cell_seed(seed, index))
         metrics_payload = None
+        # Per-cell collection while a tracer runs: the cell's counters
+        # and histograms ship back with the result and merge into the
+        # parent's registry, so a --jobs N rollup equals a serial one.
+        # With tracing off the cell stays on the no-op path.
+        scope = trace.collect() if trace.active() is not None \
+            else nullcontext()
         try:
-            # Per-cell metrics capture: the cell's counters/histograms
-            # ship back with the result and merge into the parent's
-            # registry, so a --jobs N rollup equals a serial one.
-            with trace.capture_metrics() as cell_metrics, \
+            with scope as collected, \
                     trace.span("cell", index=index, attempt=attempt):
                 if chaos is not None:
                     chaos.apply(index, attempt)
                 result = fn(cell)
-            if trace.active() is not None:
-                metrics_payload = cell_metrics.to_payload()
+            if collected is not None:
+                metrics_payload = collected.metrics.to_payload()
         except Exception as exc:
             message = (f"{type(exc).__name__}: {exc}"
                        or type(exc).__name__)
@@ -544,7 +548,7 @@ class _Supervisor:
             message = worker.conn.recv()
         except (EOFError, OSError):
             # the worker died mid-cell: crash isolation path
-            instrument.count("supervisor.crashes")
+            trace.inc("supervisor.crashes")
             exitcode = worker.process.exitcode
             trace.event("supervisor.crash", index=index, attempt=attempt,
                         exit_code=exitcode)
@@ -569,7 +573,7 @@ class _Supervisor:
 
     def _on_timeout(self, worker: _Worker) -> None:
         index, attempt = worker.task
-        instrument.count("supervisor.timeouts")
+        trace.inc("supervisor.timeouts")
         trace.event("supervisor.timeout", index=index, attempt=attempt,
                     timeout_s=self.policy.timeout_s)
         self._retire(worker, kill=True)
@@ -591,7 +595,7 @@ class _Supervisor:
             result=result,
             attempts=attempt)
         self.outcomes[index] = outcome
-        instrument.count("supervisor.cells")
+        trace.inc("supervisor.cells")
         trace.observe("supervisor.attempts", attempt)
         if self.checkpoint is not None:
             self.checkpoint.append(index, result)
@@ -600,7 +604,7 @@ class _Supervisor:
                      error: Optional[str],
                      exception: Optional[BaseException]) -> None:
         if attempt <= self.policy.retries:
-            instrument.count("supervisor.retries")
+            trace.inc("supervisor.retries")
             trace.event("supervisor.retry", index=index,
                         attempt=attempt, error=error)
             self.queue.append((index, attempt + 1))
@@ -608,7 +612,7 @@ class _Supervisor:
         outcome = CellOutcome(index=index, status=status, error=error,
                               attempts=attempt, exception=exception)
         self.outcomes[index] = outcome
-        instrument.count("supervisor.failures")
+        trace.inc("supervisor.failures")
         trace.event("supervisor.cell_failed", index=index, status=status,
                     attempts=attempt, error=error)
         if self.policy.strict:
@@ -636,7 +640,7 @@ def _run_serial(fn: Callable, cells: List[Any], todo: List[int],
                     result = fn(cells[index])
             except Exception as exc:
                 if attempt <= policy.retries:
-                    instrument.count("supervisor.retries")
+                    trace.inc("supervisor.retries")
                     trace.event("supervisor.retry", index=index,
                                 attempt=attempt,
                                 error=f"{type(exc).__name__}: {exc}")
@@ -646,7 +650,7 @@ def _run_serial(fn: Callable, cells: List[Any], todo: List[int],
                     error=f"{type(exc).__name__}: {exc}",
                     attempts=attempt, exception=exc)
                 outcomes[index] = outcome
-                instrument.count("supervisor.failures")
+                trace.inc("supervisor.failures")
                 trace.event("supervisor.cell_failed", index=index,
                             status=FAILED, attempts=attempt,
                             error=outcome.error)
@@ -657,7 +661,7 @@ def _run_serial(fn: Callable, cells: List[Any], todo: List[int],
                 index=index,
                 status=OK if attempt == 1 else RETRIED,
                 result=result, attempts=attempt)
-            instrument.count("supervisor.cells")
+            trace.inc("supervisor.cells")
             trace.observe("supervisor.attempts", attempt)
             if checkpoint is not None:
                 checkpoint.append(index, result)
@@ -702,7 +706,7 @@ def supervised_map(fn: Callable[[Any], Any], cells: Iterable[Any],
                 outcomes[index] = CellOutcome(
                     index=index, status=OK, result=result,
                     attempts=0, from_checkpoint=True)
-                instrument.count("supervisor.checkpoint_restored")
+                trace.inc("supervisor.checkpoint_restored")
 
     todo = [index for index in range(len(cells)) if outcomes[index] is None]
     # process isolation is required to enforce timeouts and to survive

@@ -1,16 +1,17 @@
 """Structured tracing + metrics: spans, histograms, run manifests.
 
-This layer sits *under* :mod:`repro.runtime.instrument`: the flat
-per-phase timers and counters keep their API, but when a tracer is
-started they additionally stream a structured event trail and feed a
-metrics registry.
-
-Three cooperating pieces:
+The one observability API: the flow, the partitioner, STA and the
+ATPG engine report where the time goes as spans
+(``trace.span(name, kind="phase")``) and how hard they worked as
+counters (``trace.inc(name, k)``). Three cooperating pieces:
 
 * **Spans** — nested, attributed intervals (run → experiment → die →
   phase → cell) with stable sequential ids, wall-clock and CPU time.
   Every span start/end is appended to a JSONL event log, flushed per
   line so a crashed or killed process still leaves its trail behind.
+  Per-name timings feed the manifest; a span that re-enters its own
+  name is charged once, at the outermost level, so a name's time never
+  exceeds real elapsed time.
 * **Metrics** — a registry of counters, gauges and bucketed histograms
   (clique sizes, slack margins, coverage drops, cache hit ratios,
   supervisor retries/timeouts). Rollups are *order-independent*:
@@ -31,6 +32,9 @@ timing tolerance — nonzero exit on regression, for CI.
 
 When no tracer is started (the default) every module-level helper is a
 no-op costing one global read, so instrumented hot paths pay nothing.
+:func:`collect` scopes metrics and timings to a block — ``repro
+profile``, the ``eco`` verify check and per-cell worker ship-back use
+it — and serves the block from an in-memory tracer when tracing is off.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import os
 import subprocess
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -321,6 +326,8 @@ class _Span:
     def __enter__(self) -> "_Span":
         tracer = self.tracer
         tracer._stack.append(self)
+        depth = tracer._depth
+        depth[self.name] = depth.get(self.name, 0) + 1
         record = {"ev": "span_start", "id": self.span_id,
                   "parent": self.parent_id, "name": self.name,
                   "kind": self.kind}
@@ -343,7 +350,13 @@ class _Span:
         if exc_type is not None:
             record["error"] = exc_type.__name__
         tracer._emit(record)
-        tracer._accumulate_timing(self.name, wall_s)
+        depth = tracer._depth
+        if depth[self.name] > 1:
+            depth[self.name] -= 1  # re-entered: the outermost charges
+        else:
+            del depth[self.name]
+            tracer._add_timing(self.name,
+                               [1, wall_s, wall_s, wall_s, wall_s * wall_s])
         return False
 
 
@@ -380,23 +393,33 @@ class TraceSink:
 
 
 class Tracer:
-    """Per-process tracing state: span stack, metrics, event sink."""
+    """Per-process tracing state: span stack, metrics, event sink.
 
-    def __init__(self, trace_dir: os.PathLike, role: str = "main") -> None:
-        self.trace_dir = Path(trace_dir)
+    ``trace_dir=None`` makes an in-memory tracer: metrics and span
+    timings, no event log (how :func:`collect` serves a block while
+    tracing is off).
+    """
+
+    def __init__(self, trace_dir: Optional[os.PathLike],
+                 role: str = "main") -> None:
+        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.role = role
         pid = os.getpid()
-        stem = "events.jsonl" if role == "main" else f"events-w{pid}.jsonl"
-        self.sink = TraceSink(self.trace_dir / stem)
+        self.sink: Optional[TraceSink] = None
+        if self.trace_dir is not None:
+            stem = ("events.jsonl" if role == "main"
+                    else f"events-w{pid}.jsonl")
+            self.sink = TraceSink(self.trace_dir / stem)
         self.metrics = MetricsRegistry()
         self.pid = pid
         self._stack: List[_Span] = []
         self._seq = 0
         #: name -> [rounds, total_s, min_s, max_s, sum_sq]
         self._timing: Dict[str, List[float]] = {}
-        self.sink.write({"ev": "trace_start", "schema": TRACE_SCHEMA_VERSION,
-                         "role": role, "pid": pid,
-                         "ts": round(time.time(), 6)})
+        #: name -> open spans of that name (re-entrancy)
+        self._depth: Dict[str, int] = {}
+        self._emit({"ev": "trace_start", "schema": TRACE_SCHEMA_VERSION,
+                    "role": role})
 
     # -- spans -----------------------------------------------------------
     def span(self, name: str, kind: str = "span", **attrs: Any) -> _Span:
@@ -413,6 +436,8 @@ class Tracer:
         self._emit(record)
 
     def _emit(self, record: Dict[str, Any]) -> None:
+        if self.sink is None:
+            return
         record["pid"] = self.pid
         # Event "ts" is wall-clock on purpose: it correlates events
         # across processes and machines. Durations never come from it —
@@ -420,17 +445,22 @@ class Tracer:
         record["ts"] = round(time.time(), 6)
         self.sink.write(record)
 
-    def _accumulate_timing(self, name: str, wall_s: float) -> None:
+    def _add_timing(self, name: str, other: List[float]) -> None:
         stat = self._timing.get(name)
         if stat is None:
-            self._timing[name] = [1, wall_s, wall_s, wall_s,
-                                  wall_s * wall_s]
+            self._timing[name] = list(other)
         else:
-            stat[0] += 1
-            stat[1] += wall_s
-            stat[2] = min(stat[2], wall_s)
-            stat[3] = max(stat[3], wall_s)
-            stat[4] += wall_s * wall_s
+            stat[0] += other[0]
+            stat[1] += other[1]
+            stat[2] = min(stat[2], other[2])
+            stat[3] = max(stat[3], other[3])
+            stat[4] += other[4]
+
+    def _fold(self, other: "Tracer") -> None:
+        """Add *other*'s metrics and span timings to this tracer's."""
+        self.metrics.merge(other.metrics)
+        for name, stat in other._timing.items():
+            self._add_timing(name, stat)
 
     # -- outputs ---------------------------------------------------------
     def bench_timings(self) -> Dict[str, Dict[str, float]]:
@@ -448,12 +478,13 @@ class Tracer:
         return out
 
     def close(self) -> None:
+        if self.sink is None:
+            return
         # A forked child inherits the parent's tracer; its copy of the
         # handle shares the parent's file offset, so only the owning
         # process may write the closing event.
         if self.pid == os.getpid():
-            self.sink.write({"ev": "trace_end", "pid": self.pid,
-                             "ts": round(time.time(), 6)})
+            self._emit({"ev": "trace_end"})
         self.sink.close()
 
 
@@ -501,11 +532,11 @@ def ensure_started(trace_dir: Optional[str],
 
 
 # -- module-level helpers (no-ops when tracing is off) ---------------------
-def span(name: str, **attrs: Any):
+def span(name: str, kind: str = "span", **attrs: Any):
     tracer = _TRACER
     if tracer is None:
         return _NOOP_SPAN
-    return tracer.span(name, **attrs)
+    return tracer.span(name, kind, **attrs)
 
 
 def event(name: str, **attrs: Any) -> None:
@@ -533,37 +564,36 @@ def set_gauge(name: str, value: float) -> None:
         tracer.metrics.set_gauge(name, value)
 
 
-class _MetricsCapture:
-    """Swap a fresh registry in for the block (worker per-cell scope)."""
+@contextmanager
+def collect() -> Iterator[Tracer]:
+    """Collect the block's own metrics and span timings.
 
-    __slots__ = ("registry", "_saved")
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self._saved: Optional[MetricsRegistry] = None
-
-    def __enter__(self) -> MetricsRegistry:
-        tracer = _TRACER
-        if tracer is not None:
-            self._saved = tracer.metrics
-            tracer.metrics = self.registry
-        return self.registry
-
-    def __exit__(self, *exc: object) -> bool:
-        tracer = _TRACER
-        if tracer is not None and self._saved is not None:
-            tracer.metrics = self._saved
-        return False
-
-
-def capture_metrics() -> _MetricsCapture:
-    """Collect this block's metrics into a fresh registry.
-
-    Used by supervised workers to ship one cell's metrics back to the
-    parent, where they merge order-independently into the run rollup.
-    When tracing is off the returned registry simply stays empty.
+    Yields a tracer whose ``metrics`` and :meth:`Tracer.bench_timings`
+    cover exactly the work done inside the block. With tracing off an
+    in-memory tracer (no event log, no files) serves the block and is
+    removed afterwards. With a tracer running, events still stream to
+    its log, and on exit the block's metrics and timings fold into it,
+    so its rollup is the same as without the block. Blocks nest: an
+    outer block sees its inner blocks' work too.
     """
-    return _MetricsCapture()
+    global _TRACER
+    block = Tracer(None)
+    outer = _TRACER
+    if outer is None:
+        _TRACER = block
+        try:
+            yield block
+        finally:
+            if _TRACER is block:
+                _TRACER = None
+        return
+    saved = outer.metrics, outer._timing
+    outer.metrics, outer._timing = block.metrics, block._timing
+    try:
+        yield block
+    finally:
+        outer.metrics, outer._timing = saved
+        outer._fold(block)
 
 
 # ---------------------------------------------------------------------------
@@ -788,17 +818,21 @@ def render_manifest(payload: Dict[str, Any]) -> str:
         for name in sorted(histograms):
             h = histograms[name]
             count = int(h.get("count", 0))
-            mean = (float(h.get("total", 0.0)) / count) if count else 0.0
-            table.add_row([name, count, f"{mean:.4g}",
-                           f"{h.get('min')}", f"{h.get('max')}"])
+            if count:  # an empty histogram has no mean, min or max
+                table.add_row([name, count,
+                               f"{float(h['total']) / count:.4g}",
+                               f"{h['min']:.4g}", f"{h['max']:.4g}"])
         lines.append(table.render())
     timings = payload.get("timings") or {}
     if timings:
-        table = AsciiTable(["span", "rounds", "mean_ms", "min_ms"])
+        table = AsciiTable(["span", "rounds", "total_ms", "mean_ms",
+                            "min_ms"])
         for name in sorted(timings):
             t = timings[name]
-            table.add_row([name, int(t.get("rounds", 0)),
-                           f"{1e3 * float(t.get('mean_s', 0.0)):.3f}",
+            rounds = int(t.get("rounds", 0))
+            mean_ms = 1e3 * float(t.get("mean_s", 0.0))
+            table.add_row([name, rounds, f"{rounds * mean_ms:.3f}",
+                           f"{mean_ms:.3f}",
                            f"{1e3 * float(t.get('min_s', 0.0)):.3f}"])
         lines.append(table.render())
     return "\n".join(lines)

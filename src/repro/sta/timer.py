@@ -45,7 +45,7 @@ from repro.netlist.core import (
     PortKind,
 )
 from repro.netlist.topology import topological_instances
-from repro.runtime import instrument, trace
+from repro.runtime import trace
 from repro.runtime.backend import use_numpy
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED
 from repro.sta.delay import WireModel
@@ -440,7 +440,7 @@ class TimingContext:
 
         self._prepared = True
         self._vplan = None
-        instrument.count("sta.context_builds")
+        trace.inc("sta.context_builds")
 
     # ------------------------------------------------------------------
     # Invalidation hooks
@@ -509,7 +509,7 @@ class TimingContext:
             # plans snapshot the port->net map, so drop them
             self._endpoint_plans.clear()
         self._vplan = None  # baked wire/gate delay arrays are stale
-        instrument.count("sta.context_invalidations")
+        trace.inc("sta.context_invalidations")
 
     # ------------------------------------------------------------------
     def loads(self) -> Dict[str, float]:
@@ -597,7 +597,7 @@ class TimingContext:
         """
         if not self._prepared:
             self._prepare()
-        instrument.count("sta.analyze_calls")
+        trace.inc("sta.analyze_calls")
         netlist = self.netlist
         loads = self._loads
         gate_delay = self._gate_delay
@@ -770,8 +770,8 @@ class TimingContext:
             raise TimingError(
                 f"{self.netlist.name}: analyze_delta constraint differs "
                 f"from the previous result's")
-        instrument.count("sta.analyze_calls")
-        instrument.count("sta.delta_analyze_calls")
+        trace.inc("sta.analyze_calls")
+        trace.inc("sta.delta_analyze_calls")
         netlist = self.netlist
         gate_delay = self._gate_delay
         wire_delays = self._wire_delays

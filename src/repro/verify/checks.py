@@ -499,17 +499,16 @@ def _eco_result_fp(result) -> str:
 
 
 def _eco_solve(runner) -> tuple:
-    """Run one solve under a metrics capture; returns
+    """Run one solve under ``trace.collect()``; returns
     (result, stable-counter dict, manifest fingerprint)."""
-    from repro.runtime import instrument
-    from repro.runtime.trace import manifest_fingerprint
+    from repro.runtime import trace
 
-    with instrument.collect() as report:
+    with trace.collect() as collected:
         result = runner()
     counters = {name: value for name, value in sorted(
-                    report.counters.items())
+                    collected.metrics.counters.items())
                 if not name.startswith(_ECO_VOLATILE_COUNTERS)}
-    manifest_fp = manifest_fingerprint({
+    manifest_fp = trace.manifest_fingerprint({
         "schema": "eco", "label": "eco", "config": None,
         "seed": None, "scale": None, "metrics": counters,
         "result_fingerprint": _eco_result_fp(result),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.runtime import instrument, trace
+from repro.runtime import trace
 from repro.runtime.parallel import parallel_map
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.verify.checks import CHECKS, run_checks
@@ -142,9 +142,9 @@ def run_fuzz(root_seed: int = 0, budget: Optional[int] = None,
         for i, divergences in parallel_map(_fuzz_cell, cells, jobs=jobs,
                                            seed=root_seed):
             report.iterations += 1
-            instrument.count("verify.fuzz_iterations")
+            trace.inc("verify.fuzz_iterations")
             if divergences:
-                instrument.count("verify.fuzz_failures")
+                trace.inc("verify.fuzz_failures")
                 report.failures.append(FuzzFailure(
                     index=i, spec=spec_for_iteration(root_seed, i),
                     divergences=divergences))

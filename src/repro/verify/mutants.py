@@ -17,7 +17,7 @@ import contextlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.runtime import instrument
+from repro.runtime import trace
 from repro.verify.checks import run_checks
 from repro.verify.fuzz import spec_for_iteration
 
@@ -242,8 +242,8 @@ def self_check(root_seed: int = 0, budget: int = 150,
                     killed = True
                     evidence = divergences[0]
                     break
-        instrument.count("verify.mutants_killed" if killed
-                         else "verify.mutants_survived")
+        trace.inc("verify.mutants_killed" if killed
+                  else "verify.mutants_survived")
         results.append(MutantResult(name=name, description=description,
                                     killed=killed, iterations=iterations,
                                     evidence=evidence))

@@ -15,7 +15,7 @@ import pytest
 from repro import cli
 from repro.experiments import run_table3
 from repro.experiments.common import SCALES
-from repro.runtime import configure, instrument
+from repro.runtime import configure, trace
 from repro.runtime.chaos import ChaosPlan, ChaosSpec, corrupt_cache_entry
 from repro.runtime.config import current_config
 
@@ -113,12 +113,13 @@ class TestCheckpointResume:
         # cells come back from the journal, only die 1 is recomputed
         current_config().chaos = None
         current_config().jobs = 1
-        with instrument.collect() as report:
+        with trace.collect() as collected:
             second = run_table3(B11_ONLY)
         assert not second.failures
         assert second.cells == clean.cells
-        assert report.counters["supervisor.checkpoint_restored"] == 3
-        assert report.counters["supervisor.cells"] == 1
+        counters = collected.metrics.counters
+        assert counters["supervisor.checkpoint_restored"] == 3
+        assert counters["supervisor.cells"] == 1
 
 
 class TestCliExitCodes:

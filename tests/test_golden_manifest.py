@@ -8,7 +8,10 @@ flow, partitioner, STA or metrics wiring that shifts the computation
 shows up here as a readable diff, not as a silent drift.
 
 The run happens in a subprocess so the per-process memo caches warmed
-by other tests cannot suppress the metric observations.
+by other tests cannot suppress the metric observations. It runs at
+``--jobs 1`` and ``--jobs 2``: the worker metric ship-back must roll up
+to the same pinned manifest as the serial run. ``REPRO_BACKEND`` passes
+through, so the numpy CI leg gates the same golden on its backend.
 """
 
 import json
@@ -28,17 +31,17 @@ MUTATED = Path(__file__).parent / "golden" / \
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="module")
-def fresh_manifest(tmp_path_factory):
-    """Manifest of a hermetic `repro table3 --scale smoke` run."""
-    trace_dir = tmp_path_factory.mktemp("table3-trace")
+@pytest.fixture(scope="module", params=[1, 2], ids=["jobs1", "jobs2"])
+def fresh_manifest(request, tmp_path_factory):
+    """Manifest of a hermetic `repro table3 --scale smoke --jobs N` run."""
+    trace_dir = tmp_path_factory.mktemp(f"table3-trace-j{request.param}")
     env = dict(os.environ)
     env.pop("REPRO_SCALE", None)
     env.pop("REPRO_JOBS", None)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "table3", "--scale", "smoke",
-         "--trace-dir", str(trace_dir)],
+         "--jobs", str(request.param), "--trace-dir", str(trace_dir)],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return trace_dir / "manifest-table3.json"

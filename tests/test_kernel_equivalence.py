@@ -214,24 +214,13 @@ def _family_solve_fp(spec):
     the same identity surface the eco differential check pins."""
     from repro.core.flow import run_wcm_flow
     from repro.core.session import result_fingerprint
-    from repro.runtime import instrument
-    from repro.runtime.trace import manifest_fingerprint
-    from repro.verify.checks import _ECO_VOLATILE_COUNTERS
+    from repro.verify.checks import _eco_solve
 
     problem = spec.build_problem()
     config = spec.build_config(problem)
-    with instrument.collect() as report:
-        result = run_wcm_flow(problem, config)
-    result_fp = result_fingerprint(result)
-    counters = {name: value for name, value in sorted(
-                    report.counters.items())
-                if not name.startswith(_ECO_VOLATILE_COUNTERS)}
-    manifest_fp = manifest_fingerprint({
-        "schema": "eco", "label": f"family:{spec.family}",
-        "config": None, "seed": None, "scale": None,
-        "metrics": counters, "result_fingerprint": result_fp,
-    })
-    return result_fp, counters, manifest_fp
+    result, counters, manifest_fp = _eco_solve(
+        lambda: run_wcm_flow(problem, config))
+    return result_fingerprint(result), counters, manifest_fp
 
 
 @pytest.mark.parametrize("family", ["grid", "chain", "ring", "star",

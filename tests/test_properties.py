@@ -213,47 +213,3 @@ def test_metric_rollup_order_independent(ops, cuts, order_seed):
     assert merged.to_payload() == serial.to_payload()
     assert merged.rollup(volatile=False) == serial.rollup(volatile=False)
 
-
-_REPORT = st.builds(
-    lambda counters, phases: (counters, phases),
-    st.dictionaries(st.sampled_from(["a", "b", "c"]),
-                    st.integers(min_value=0, max_value=100), max_size=3),
-    st.dictionaries(st.sampled_from(["p", "q"]),
-                    st.integers(min_value=0, max_value=1000), max_size=2),
-)
-
-
-def _report_from(spec):
-    from repro.runtime.instrument import RunReport
-
-    counters, phases = spec
-    report = RunReport()
-    for name, amount in counters.items():
-        report.add_count(name, amount)
-    for name, millis in phases.items():
-        # dyadic rational: float sums stay exact, so merge order
-        # can't perturb the payload comparison below
-        report.add_phase(name, millis / 1024.0)
-    return report
-
-
-@settings(max_examples=20, deadline=None)
-@given(x=_REPORT, y=_REPORT, z=_REPORT)
-def test_run_report_merge_associative_and_commutative(x, y, z):
-    """merge((x+y)+z) == merge(x+(y+z)) and x+y == y+x — the property
-    that makes per-cell reports foldable in completion order."""
-    left = _report_from(x)
-    left.merge(_report_from(y))
-    left.merge(_report_from(z))
-
-    inner = _report_from(y)
-    inner.merge(_report_from(z))
-    right = _report_from(x)
-    right.merge(inner)
-    assert left.to_payload() == right.to_payload()
-
-    xy = _report_from(x)
-    xy.merge(_report_from(y))
-    yx = _report_from(y)
-    yx.merge(_report_from(x))
-    assert xy.to_payload() == yx.to_payload()

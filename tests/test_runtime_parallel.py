@@ -7,7 +7,7 @@ from repro.core.config import Scenario, WcmConfig
 from repro.core.flow import run_wcm_flow
 from repro.experiments import run_table3
 from repro.experiments.common import SCALES
-from repro.runtime import instrument
+from repro.runtime import trace
 from repro.runtime.parallel import cell_seed, parallel_map
 
 B11_ONLY = replace(SCALES["smoke"], circuits=("b11",))
@@ -59,42 +59,38 @@ class TestParallelDrivers:
 
 class TestInstrumentation:
     def test_noop_without_collector(self):
-        with instrument.phase("test.phase"):
+        with trace.span("test.phase", kind="phase"):
             pass
-        instrument.count("test.counter", 3)
-        assert instrument.active_report() is None
+        trace.inc("test.counter", 3)
+        assert trace.active() is None
 
     def test_collects_flow_phases_and_counters(self, small_problem):
-        with instrument.collect() as report:
+        with trace.collect() as collected:
             run_wcm_flow(small_problem,
                          WcmConfig.ours(Scenario.area_optimized()))
-        assert report.phases["flow.graph"].calls == 2  # both TSV kinds
-        assert report.phases["flow.partition"].calls == 2
-        assert "flow.adoption" in report.phases
-        assert report.counters.get("clique.merges", 0) >= 0
-        assert "flow.eco_rounds" in report.counters
-        rendered = report.render("unit test")
+        timings = collected.bench_timings()
+        assert timings["flow.graph"]["rounds"] == 2  # both TSV kinds
+        assert timings["flow.partition"]["rounds"] == 2
+        assert "flow.adoption" in timings
+        counters = collected.metrics.counters
+        assert counters.get("clique.merges", 0) >= 0
+        assert "flow.eco_rounds" in counters
+        rendered = trace.render_manifest({
+            "label": "unit test", "metrics": collected.metrics.to_payload(),
+            "timings": timings})
         assert "flow.graph" in rendered and "unit test" in rendered
-
-    def test_merge_and_payload(self):
-        first = instrument.RunReport()
-        first.add_phase("a", 1.0)
-        first.add_count("n", 2)
-        second = instrument.RunReport()
-        second.add_phase("a", 0.5)
-        second.add_count("n", 1)
-        first.merge(second)
-        assert first.phases["a"].calls == 2
-        assert abs(first.phases["a"].seconds - 1.5) < 1e-9
-        assert first.counters["n"] == 3
-        payload = first.to_payload()
-        assert payload["counters"]["n"] == 3
+        assert "total_ms" in rendered
 
     def test_nested_collectors_are_scoped(self):
-        with instrument.collect() as outer:
-            instrument.count("outer.only")
-            with instrument.collect() as inner:
-                instrument.count("inner.only")
-        assert "inner.only" in inner.counters
-        assert "inner.only" not in outer.counters
-        assert "outer.only" in outer.counters
+        with trace.collect() as outer:
+            trace.inc("outer.only")
+            with trace.span("outer.phase", kind="phase"):
+                with trace.collect() as inner:
+                    trace.inc("inner.only")
+                    with trace.span("inner.phase", kind="phase"):
+                        pass
+        # the inner block sees only its own work, the outer one both
+        assert inner.metrics.counters == {"inner.only": 1}
+        assert set(inner.bench_timings()) == {"inner.phase"}
+        assert outer.metrics.counters == {"outer.only": 1, "inner.only": 1}
+        assert set(outer.bench_timings()) == {"outer.phase", "inner.phase"}

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.runtime import configure, trace
-from repro.runtime.instrument import RunReport, collect, count, phase
 from repro.runtime.supervisor import supervised_map
 from repro.runtime.trace import (
     TRACE_SCHEMA_VERSION,
@@ -132,12 +131,12 @@ class TestSpans:
 
     def test_phase_opens_span_under_tracer(self, tmp_path):
         trace.start(tmp_path)
-        with phase("wcm.partition"):
-            count("clique.merges", 3)
+        with trace.span("wcm.partition", kind="phase"):
+            trace.inc("clique.merges", 3)
         tracer = trace.stop()
-        names = [r["name"] for r in read_events(tmp_path)
-                 if r["ev"] == "span_start"]
-        assert "wcm.partition" in names
+        starts = [(r["name"], r["kind"]) for r in read_events(tmp_path)
+                  if r["ev"] == "span_start"]
+        assert ("wcm.partition", "phase") in starts
         assert tracer.metrics.counters["clique.merges"] == 3
         assert "wcm.partition" in tracer.bench_timings()
 
@@ -153,20 +152,20 @@ class TestNoopMode:
             trace.event("e")
             trace.inc("c")
             trace.observe("h", 1.0)
-        with phase("p"):
-            count("c")
+        with trace.span("p", kind="phase"):
+            trace.inc("c")
         assert list(tmp_path.rglob("events*.jsonl")) == []
 
     def test_span_helper_returns_shared_noop(self):
         assert trace.span("a") is trace.span("b")
 
     def test_overhead_is_bounded(self):
-        # 200k no-op counts must stay well under a second: the off
-        # path is one global read, no allocation, no I/O.
+        # 200k no-op phase spans plus counts must stay well under a
+        # second: the off path is one global read, no I/O.
         started = time.perf_counter()
         for _ in range(200_000):
-            count("hot.counter")
-            trace.inc("hot.counter")
+            with trace.span("hot.phase", kind="phase"):
+                trace.inc("hot.counter")
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"no-op path too slow: {elapsed:.3f}s"
 
@@ -255,6 +254,22 @@ class TestManifest:
         assert any("work.items" in p for p in problems)
         assert any("expected 5" in p and "got 9" in p for p in problems)
 
+    def test_render_rounds_histograms_and_totals_spans(self):
+        registry = MetricsRegistry()
+        registry.observe("sta.worst_slack_ps", -41.737187678544615)
+        registry.observe("sta.worst_slack_ps", 144.0)
+        rendered = trace.render_manifest(build_manifest(
+            "t", metrics=registry,
+            timings={"flow.sta": {"mean_s": 0.002, "min_s": 0.001,
+                                  "stddev_s": 0.0, "rounds": 3}}))
+        # min/max print at 4 significant digits, like the mean
+        assert "-41.74" in rendered and "-41.737" not in rendered
+        # the span table carries rounds x mean as total_ms
+        row = next(line for line in rendered.splitlines()
+                   if line.startswith("flow.sta"))
+        assert [cell.strip() for cell in row.split("|")] == \
+            ["flow.sta", "3", "6.000", "2.000", "1.000"]
+
 
 class TestBenchGate:
     TIMINGS = {"kernel": {"mean_s": 0.100, "min_s": 0.09,
@@ -310,57 +325,89 @@ class TestBenchGate:
 
 
 # ---------------------------------------------------------------------------
-# RunReport drift fixes (phase re-entrancy, payload/render agreement)
+# Scoped collection: trace.collect() and the re-entrancy rule
 # ---------------------------------------------------------------------------
-class TestRunReportConsistency:
+def _collect_workload():
+    """Spans, a re-entered span and every metric kind."""
+    with trace.span("outer", kind="phase"):
+        trace.inc("work.items", 2)
+        trace.observe("clique.size", 3)
+        with trace.span("inner", kind="phase"):
+            trace.inc("work.items")
+            with trace.span("inner", kind="phase"):
+                trace.event("ping")
+    with trace.span("outer", kind="phase"):
+        trace.set_gauge("work.value", 1.5)
+
+
+def _untraced(_cell):
+    return trace.active() is None
+
+
+def _traced_run(trace_dir, wrap):
+    """(counters etc., span rounds, events sans clocks, block) of one
+    traced run of the workload, inside a collect() block or not."""
+    tracer = trace.start(trace_dir)
+    trace.inc("before")
+    block = None
+    if wrap:
+        with trace.collect() as block:
+            _collect_workload()
+        assert trace.active() is tracer
+    else:
+        _collect_workload()
+    trace.inc("after")
+    trace.stop()
+    rounds = {name: t["rounds"]
+              for name, t in tracer.bench_timings().items()}
+    events = [{k: v for k, v in record.items()
+               if k not in ("ts", "wall_s", "cpu_s")}
+              for record in read_events(trace_dir)]
+    return tracer.metrics.to_payload(), rounds, events, block
+
+
+class TestCollect:
     def test_reentrant_same_name_phase_not_double_counted(self):
-        with collect() as report:
+        with trace.collect() as collected:
             started = time.perf_counter()
-            with phase("repair"):
+            with trace.span("repair", kind="phase"):
                 time.sleep(0.02)
-                with phase("repair"):
+                with trace.span("repair", kind="phase"):
                     time.sleep(0.02)
             wall = time.perf_counter() - started
-        stat = report.phases["repair"]
-        assert stat.calls == 2
+        stat = collected.bench_timings()["repair"]
         # the outermost entry charges the whole elapsed time once; a
         # double-count would report ~1.5x the real wall-clock
-        assert stat.seconds == pytest.approx(wall, abs=0.02)
-        assert report.total_seconds <= wall + 0.02
+        assert stat["rounds"] == 1
+        assert stat["mean_s"] == pytest.approx(wall, abs=0.02)
 
-    def test_nested_collect_plus_merge_equals_flat_run(self):
-        outer = RunReport()
-        with collect(outer):
-            count("a")
-            inner = RunReport()
-            with collect(inner):
-                count("a")
-                count("b")
-            count("a")
-        outer.merge(inner)
-        flat = RunReport()
-        with collect(flat):
-            for _ in range(3):
-                count("a")
-            count("b")
-        assert outer.counters == flat.counters
+    def test_block_under_tracer_leaves_its_rollup_unchanged(self, tmp_path):
+        plain = _traced_run(tmp_path / "plain", wrap=False)
+        wrapped = _traced_run(tmp_path / "wrapped", wrap=True)
+        assert wrapped[:3] == plain[:3]
+        assert plain[1] == {"inner": 1, "outer": 2}
+        # the block saw its own work only, not the tracer's before/after
+        block = wrapped[3]
+        assert block.metrics.counters == {"work.items": 3}
+        assert {name: t["rounds"]
+                for name, t in block.bench_timings().items()} == plain[1]
 
-    def test_payload_and_render_agree_after_merge(self):
-        a, b = RunReport(), RunReport()
-        with collect(a):
-            count("x", 2)
-            with phase("p"):
-                pass
-        with collect(b):
-            count("x", 3)
-            with phase("p"):
-                pass
-        a.merge(b)
-        payload = a.to_payload()
-        assert payload["counters"]["x"] == 5
-        assert payload["phases"]["p"]["calls"] == 2
-        assert payload["total_seconds"] == pytest.approx(a.total_seconds)
-        rendered = a.render()
-        assert "x" in rendered and "5" in rendered and "p" in rendered
-        clone = RunReport.from_payload(payload)
-        assert clone.to_payload() == payload
+    def test_block_with_tracing_off_writes_no_files(self, tmp_path,
+                                                    monkeypatch):
+        assert trace.active() is None
+        monkeypatch.chdir(tmp_path)
+        with trace.collect() as collected:
+            assert trace.active() is collected
+            _collect_workload()
+        assert trace.active() is None
+        assert list(tmp_path.rglob("*")) == []
+        assert collected.metrics.counters == {"work.items": 3}
+        assert collected.metrics.histograms["clique.size"].count == 1
+        assert collected.bench_timings()["outer"]["rounds"] == 2
+
+    def test_untraced_workers_stay_on_noop_path(self):
+        # per-cell collection is for ship-back under a running tracer
+        # only; an untraced --jobs N cell must see tracing off
+        sweep = supervised_map(_untraced, [0, 1, 2, 3], jobs=2, seed=7,
+                               label="untraced")
+        assert sweep.results_or_raise() == [True] * 4

@@ -15,7 +15,7 @@ from repro.core.session import (AddTsv, MoveFf, MoveTsv, RemoveTsv,
 from repro.runtime.backend import numpy_available
 from repro.runtime.config import configure
 from repro.netlist.core import PortKind
-from repro.runtime import instrument
+from repro.runtime import trace
 from repro.util.errors import ConfigError
 from repro.verify.checks import _eco_result_fp
 from repro.verify.instances import InstanceSpec
@@ -126,13 +126,13 @@ class TestFallback:
         session.solve()
         ff = session.netlist.scan_flip_flops()[0]
         session.apply(MoveFf(ff.name, ff.x + 0.5, ff.y + 0.5))
-        with instrument.collect() as report:
+        with trace.collect() as collected:
             session.solve()
         # "restitch" is still the incremental path (chain order changed
         # in place); only structural/dirty_frac rebuild the problem.
         assert session.last_fallback in (None, "restitch")
         assert 0.0 < session.last_dirty_frac <= session.fallback_ratio
-        assert report.counters.get("session.fallback", 0) == 0
+        assert collected.metrics.counters.get("session.fallback", 0) == 0
 
     def test_fallback_still_matches_cold(self):
         session = fresh_session(fallback_ratio=0.0)
@@ -146,10 +146,10 @@ class TestTelemetry:
     def test_edit_counter(self):
         session = fresh_session()
         ff = session.netlist.scan_flip_flops()[0]
-        with instrument.collect() as report:
+        with trace.collect() as collected:
             session.apply(MoveFf(ff.name, ff.x + 1.0, ff.y))
             session.apply(SetThreshold(cov_th=0.6))
-        assert report.counters.get("session.edits") == 2
+        assert collected.metrics.counters.get("session.edits") == 2
         assert session.edit_count == 2
 
     def test_graph_replay_counter(self):
@@ -159,11 +159,12 @@ class TestTelemetry:
         session.solve()
         ff = session.netlist.scan_flip_flops()[0]
         session.apply(MoveFf(ff.name, ff.x + 0.5, ff.y))
-        with instrument.collect() as report:
+        with trace.collect() as collected:
             session.solve()
         if session.config.estimator_mode == "structural" \
                 and session.last_fallback in (None, "restitch"):
-            assert report.counters.get("session.graph_replays", 0) >= 1
+            assert collected.metrics.counters.get(
+                "session.graph_replays", 0) >= 1
 
 
 class TestEditValidation:
