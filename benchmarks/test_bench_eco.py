@@ -4,8 +4,8 @@ Measures the median single-edit re-solve latency of a warm
 :class:`WcmSession` against a cold ``build_problem`` + ``run_wcm_flow``
 on the same die, over a mixed edit workload (FF moves, TSV moves,
 threshold re-tunes). The speedup and both medians are exported to
-``BENCH_eco.json`` per backend, so the incremental path is
-regression-tracked alongside the kernel micro-benchmarks.
+``BENCH_eco.json``, so the incremental path is regression-tracked
+alongside the kernel micro-benchmarks.
 """
 
 import statistics
@@ -21,8 +21,6 @@ from repro.core.problem import build_problem, tight_clock_for
 from repro.core.session import MoveFf, MoveTsv, SetThreshold, WcmSession
 from repro.dft.scan import stitch_scan_chains
 from repro.place.placer import place_die
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
 
 #: regression floor for warm/cold speedup; measured ~12x on an idle
 #: machine (see BENCH_eco.json) — the slack absorbs CI noise.
@@ -30,15 +28,6 @@ MIN_SPEEDUP = 8.0
 
 WARM_EDITS = 36
 COLD_SOLVES = 3
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    configure(backend=request.param)
-    yield request.param
-    configure(backend="python")
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +38,7 @@ def eco_die():
     return netlist
 
 
-def test_bench_eco_single_edit(benchmark, eco_die, backend, echo):
+def test_bench_eco_single_edit(benchmark, eco_die, echo):
     netlist = eco_die.clone()
     problem = build_problem(netlist, already_prepared=True)
     clock = tight_clock_for(problem)
@@ -95,7 +84,7 @@ def test_bench_eco_single_edit(benchmark, eco_die, backend, echo):
     speedup = cold_median / warm_median
     benchmark.extra_info["cold_median_s"] = cold_median
     benchmark.extra_info["speedup"] = speedup
-    echo(f"[eco/{backend}] cold {cold_median * 1000:.0f}ms, "
+    echo(f"[eco] cold {cold_median * 1000:.0f}ms, "
          f"warm edit {warm_median * 1000:.1f}ms, "
          f"speedup {speedup:.1f}x")
     assert speedup >= MIN_SPEEDUP, (

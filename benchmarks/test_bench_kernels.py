@@ -22,22 +22,8 @@ from repro.dft.testview import build_prebond_test_view
 from repro.dft.wrapper import dedicated_plan, insert_wrappers
 from repro.netlist.core import PortKind
 from repro.place.placer import place_die
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
 from repro.sta.timer import TimingAnalyzer
 from repro.util.rng import DeterministicRng
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    """Backend axis for the kernels with two implementations; the
-    parametrized bench names land as separate BENCH_kernels.json
-    entries, so the numpy speedup is regression-tracked per kernel."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    configure(backend=request.param)
-    yield request.param
-    configure(backend="python")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +49,7 @@ def test_bench_generate_and_place(benchmark, echo):
     assert result.gate_count == 397
 
 
-def test_bench_sta(benchmark, kernel_die, backend):
+def test_bench_sta(benchmark, kernel_die):
     timer = TimingAnalyzer(kernel_die)
     result = benchmark(timer.analyze)
     assert result.critical_path_ps > 0
@@ -80,7 +66,7 @@ def test_bench_packed_good_simulation(benchmark, kernel_die):
     assert len(values) == circuit.n_nets
 
 
-def test_bench_stuck_at_atpg(benchmark, kernel_die, backend):
+def test_bench_stuck_at_atpg(benchmark, kernel_die):
     wrapped, _ = insert_wrappers(kernel_die, dedicated_plan(kernel_die))
     stitch_scan_chains(wrapped, restitch=True)
     view = build_prebond_test_view(wrapped)
@@ -114,8 +100,7 @@ def test_bench_event_propagation(benchmark, kernel_die):
 
 
 def test_bench_graph_timed(benchmark, kernel_problem):
-    """Grid-indexed edge sweep under the tight clock (distance active);
-    one implementation, so no backend axis."""
+    """Grid-indexed edge sweep under the tight clock (distance active)."""
     clock = tight_clock_for(kernel_problem)
     problem = kernel_problem.retime(clock)
     config = WcmConfig.ours(Scenario.performance_optimized(clock.period_ps))

@@ -21,11 +21,6 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # numpy floor: the kernel backends use np.minimum.at/maximum.reduceat
-    # on intp index arrays and little-endian "<u8" plane views, stable
-    # since the 1.22 type-promotion cleanup. The python backend runs
-    # without numpy at all (see repro.runtime.backend).
-    install_requires=["numpy>=1.22", "networkx"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     license="MIT",
 )

@@ -179,24 +179,11 @@ class AtpgEngine:
         self.dispatcher = _FaultDispatcher(self.circuit, faults.faults)
         self.rng = DeterministicRng(self.config.seed).child(
             "atpg", view.netlist.name)
-        # numpy backend: batched bit-plane fault simulation (None when
-        # the backend is python, numpy is absent, or a gate has no
-        # vectorized model — the per-fault python path then runs).
-        self._planes = None
-        from repro.runtime.backend import use_numpy
-        if use_numpy():
-            from repro.atpg.planes import PlaneSimulator
-            self._planes = PlaneSimulator.build(self.circuit)
 
     # ------------------------------------------------------------------
     def _detect_many(self, good: List[int], active: Sequence[int],
                      mask: int) -> List[int]:
-        """Detection words for the *active* fault indices, in order —
-        byte-identical between the batched plane kernel and the
-        per-fault dispatcher loop."""
-        if self._planes is not None:
-            return self._planes.detect_many(good, self.dispatcher.ops,
-                                            active, mask)
+        """Detection words for the *active* fault indices, in order."""
         circuit, dispatcher = self.circuit, self.dispatcher
         return [dispatcher.detect_word(circuit, good, fault_index, mask)
                 for fault_index in active]

@@ -14,8 +14,7 @@ size.
 Implication is incremental: persistent per-net value arrays for both
 machines, an undo trail per decision, event-driven re-evaluation of
 only the gates a primary-input change can reach, and a cached
-decision-free snapshot per slice. The engine holds no numpy state, so
-it runs unchanged on both kernel backends.
+decision-free snapshot per slice.
 
 Every sub-result (implied values, D-frontier choice, SCOAP backtrace
 step) is a pure function of the current assignment, so each

@@ -61,9 +61,6 @@ Runtime flags (valid before or after the subcommand):
 * ``--trace-dir PATH`` — stream a structured JSONL event trail (spans,
   metrics) to PATH and write a fingerprinted run manifest per driver
   (``$REPRO_TRACE_DIR`` is the env equivalent).
-* ``--backend python|numpy`` — kernel implementation set
-  (``$REPRO_BACKEND`` is the env equivalent). Byte-identical results;
-  ``numpy`` vectorizes the fault-simulation and STA kernels.
 
 Exit status: 0 when every cell succeeded, 1 when a table rendered with
 failed cells excluded, 2 when a strict sweep aborted.
@@ -274,10 +271,11 @@ def _common_options() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="stream structured trace events and run "
                              "manifests to PATH")
+    # Hidden and ignored: each kernel has one implementation, and the
+    # flag stays only because the end-to-end benchmark passes it
+    # (DESIGN.md §11).
     common.add_argument("--backend", choices=("python", "numpy"),
-                        default=argparse.SUPPRESS,
-                        help="kernel implementation set (default "
-                             "python; results are byte-identical)")
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return common
 
 
@@ -960,8 +958,7 @@ def main(argv=None) -> int:
                   retries=getattr(args, "retries", None),
                   strict=getattr(args, "strict", None),
                   checkpoint_dir=getattr(args, "checkpoint_dir", None),
-                  trace_dir=getattr(args, "trace_dir", None),
-                  backend=getattr(args, "backend", None))
+                  trace_dir=getattr(args, "trace_dir", None))
     except ConfigError as exc:
         parser.error(str(exc))
 

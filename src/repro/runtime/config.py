@@ -24,16 +24,13 @@ map, the supervisor and the result cache:
   (:mod:`repro.runtime.trace`) and worker processes adopt it too,
 * ``chaos`` — an optional :class:`repro.runtime.chaos.ChaosPlan` of
   deterministic fault injections (set programmatically by the chaos
-  harness, or via ``REPRO_CHAOS`` as JSON),
-* ``backend`` — which kernel implementations to use, ``python`` or
-  ``numpy`` (see :mod:`repro.runtime.backend`); byte-identical either
-  way, and worker processes inherit the parent's choice.
+  harness, or via ``REPRO_CHAOS`` as JSON).
 
 Environment fallbacks (read when :func:`configure` is not given an
 explicit value): ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
 ``REPRO_NO_CACHE=1``, ``REPRO_TIMEOUT`` (seconds; ``0`` disables),
 ``REPRO_RETRIES``, ``REPRO_STRICT=1``, ``REPRO_CHECKPOINT_DIR``,
-``REPRO_TRACE_DIR``, ``REPRO_BACKEND`` and ``REPRO_CHAOS`` (JSON, see
+``REPRO_TRACE_DIR`` and ``REPRO_CHAOS`` (JSON, see
 :func:`repro.runtime.chaos.plan_from_json`).
 """
 
@@ -60,8 +57,6 @@ class RuntimeConfig:
     trace_dir: Optional[str] = None
     #: deterministic fault-injection plan (ChaosPlan), tests/CI only
     chaos: Optional[Any] = None
-    #: kernel implementation set: "python" (default) or "numpy"
-    backend: str = "python"
 
 
 _CONFIG = RuntimeConfig()
@@ -119,7 +114,12 @@ def configure(jobs: Optional[int] = None,
               chaos: Optional[Any] = None,
               backend: Optional[str] = None) -> RuntimeConfig:
     """Update the per-process runtime config; omitted arguments fall
-    back to the environment, then to the current values."""
+    back to the environment, then to the current values.
+
+    *backend* is checked and then ignored: each kernel has one
+    implementation, and the argument stays only because the end-to-end
+    benchmark passes it (DESIGN.md §11).
+    """
     if jobs is None:
         jobs = _env_jobs()
     if jobs is not None:
@@ -166,11 +166,9 @@ def configure(jobs: Optional[int] = None,
         chaos = _env_chaos()
     if chaos is not None:
         _CONFIG.chaos = chaos
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND")
-    if backend is not None:
-        from repro.runtime.backend import validate_backend
-        _CONFIG.backend = validate_backend(backend)
+    if backend is not None and backend not in ("python", "numpy"):
+        raise ConfigError(f"unknown backend {backend!r} "
+                          f"(choose from python, numpy)")
     return _CONFIG
 
 
@@ -204,7 +202,6 @@ def apply_config(config: RuntimeConfig) -> None:
     _CONFIG.checkpoint_dir = config.checkpoint_dir
     _CONFIG.trace_dir = config.trace_dir
     _CONFIG.chaos = config.chaos
-    _CONFIG.backend = config.backend
     if config.trace_dir:
         from repro.runtime import trace
         trace.ensure_started(config.trace_dir, role="worker")

@@ -58,10 +58,9 @@ TRACE_SCHEMA_VERSION = 1
 #: metric-name prefixes excluded from the manifest fingerprint: real
 #: but environment-dependent (cache warmth, injected faults, worker
 #: scheduling), so they would break run-to-run comparability.
-#: ``sim.propagate_events`` is backend-dependent rather than
-#: environment-dependent — the numpy bit-plane kernels replace the
-#: event-driven propagator wholesale — but it is excluded for the same
-#: reason: manifests must fingerprint identically across backends.
+#: ``sim.propagate_events`` is deterministic but stays excluded:
+#: fingerprinting it would move every pinned manifest fingerprint of a
+#: run that simulates faults.
 VOLATILE_PREFIXES = ("cache.", "supervisor.", "chaos.",
                      "sim.propagate_events")
 

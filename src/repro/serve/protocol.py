@@ -79,10 +79,6 @@ class ProtocolError(ReproError):
 def job_fingerprint(kind: str, params: Dict[str, Any]) -> str:
     """Content identity of a job: two submissions with equal
     fingerprints are the same computation (single-flight + cache key).
-
-    The kernel backend is deliberately excluded — backends are
-    byte-identical by contract (DESIGN.md §11), so a result computed
-    under either serves both.
     """
     return fingerprint({"kind": "serve-job", "schema": PROTOCOL_VERSION,
                         "job_kind": kind, "params": params})

@@ -46,7 +46,6 @@ from repro.netlist.core import (
 )
 from repro.netlist.topology import topological_instances
 from repro.runtime import trace
-from repro.runtime.backend import use_numpy
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED
 from repro.sta.delay import WireModel
 from repro.util.errors import TimingError
@@ -140,154 +139,6 @@ class TimingResult:
         return self.net_load_ff.get(net_name, 0.0)
 
 
-class _VectorPlan:
-    """Levelized arrays for the numpy arrival/required sweeps.
-
-    Built from a prepared :class:`TimingContext` for the no-case
-    analysis (empty constant set); instances are grouped into levels so
-    each level's pin arrivals are one gather + add, and the per-gate
-    worst-input reduction is a single ``maximum.reduceat``. The sweeps
-    are byte-identical to the scalar loops: every float comes from the
-    same binary add/subtract of the same cached values, and max/min
-    reductions are order-insensitive.
-    """
-
-    def __init__(self, context: "TimingContext") -> None:
-        import numpy as np
-
-        self.np = np
-        netlist = context.netlist
-        names = list(netlist.nets.keys())
-        self.net_names = names
-        index = {name: i for i, name in enumerate(names)}
-        self.n_nets = len(names)
-
-        untimed = context._untimed_base
-        wire_delays = context._wire_delays
-
-        # Forward seeds.
-        port_seed_ids: List[int] = []
-        for port in netlist.ports.values():
-            if port.direction is PortDirection.INPUT and port.net is not None \
-                    and port.kind not in _UNTIMED_PORT_KINDS:
-                port_seed_ids.append(index[port.net])
-        ff_out_ids: List[int] = []
-        ff_out_delay: List[float] = []
-        for inst in context._ffs:
-            out = inst.output_net()
-            if out is not None:
-                ff_out_ids.append(index[out])
-                ff_out_delay.append(context._gate_delay[inst.name])
-        self.port_seed_ids = np.array(port_seed_ids, dtype=np.intp)
-        self.ff_out_ids = np.array(ff_out_ids, dtype=np.intp)
-        self.ff_out_delay = np.array(ff_out_delay, dtype=np.float64)
-
-        # Levelized combinational gates with their timed input pairs.
-        net_level = [0] * self.n_nets
-        records: Dict[int, List[Tuple[int, float, List[int], List[float]]]]
-        records = {}
-        arrival_keys: List[int] = port_seed_ids + ff_out_ids
-        for name in context._topo:
-            inst = netlist.instance(name)
-            out = inst.output_net()
-            if out is None:
-                continue
-            pairs = context._inst_pairs[name]
-            level = 1 + max((net_level[index[net]] for _pin, net in pairs),
-                            default=0)
-            out_id = index[out]
-            net_level[out_id] = level
-            src_ids: List[int] = []
-            wire: List[float] = []
-            for pin, net in pairs:
-                if net in untimed:
-                    continue
-                src_ids.append(index[net])
-                wire.append(wire_delays.get((net, name, pin), 0.0))
-            records.setdefault(level, []).append(
-                (out_id, context._gate_delay[name], src_ids, wire))
-            arrival_keys.append(out_id)
-        self.arrival_keys = arrival_keys
-
-        #: per level: (out ids, gate delays, pin srcs, pin wires,
-        #: segment starts, segment counts, pin->gate map)
-        self.levels = []
-        for level in sorted(records):
-            gates = records[level]
-            outs = np.array([g[0] for g in gates], dtype=np.intp)
-            delays = np.array([g[1] for g in gates], dtype=np.float64)
-            counts = np.array([len(g[2]) for g in gates], dtype=np.intp)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            src = np.array([s for g in gates for s in g[2]], dtype=np.intp)
-            wires = np.array([w for g in gates for w in g[3]],
-                             dtype=np.float64)
-            pin_gate = np.repeat(np.arange(len(gates), dtype=np.intp),
-                                 counts)
-            self.levels.append((outs, delays, src, wires, starts, counts,
-                                pin_gate))
-
-        # Backward seeds: FF D pins and output ports.
-        ffd_ids: List[int] = []
-        ffd_wire: List[float] = []
-        for inst in context._ffs:
-            net = inst.connections.get("D")
-            if net is None or net in untimed:
-                continue
-            ffd_ids.append(index[net])
-            ffd_wire.append(wire_delays.get((net, inst.name, "D"), 0.0))
-        oport_ids: List[int] = []
-        oport_wire: List[float] = []
-        for port in netlist.ports.values():
-            if port.direction is PortDirection.OUTPUT and port.net is not None:
-                oport_ids.append(index[port.net])
-                oport_wire.append(
-                    wire_delays.get((port.net, port.name, ""), 0.0))
-        self.ffd_ids = np.array(ffd_ids, dtype=np.intp)
-        self.ffd_wire = np.array(ffd_wire, dtype=np.float64)
-        self.oport_ids = np.array(oport_ids, dtype=np.intp)
-        self.oport_wire = np.array(oport_wire, dtype=np.float64)
-
-    def forward(self, input_delay_ps: float) -> Dict[str, float]:
-        """Arrival sweep; same key set and values as the scalar loop."""
-        np = self.np
-        arrival = np.zeros(self.n_nets, dtype=np.float64)
-        arrival[self.port_seed_ids] = input_delay_ps
-        arrival[self.ff_out_ids] = self.ff_out_delay
-        for outs, delays, src, wires, starts, counts, _pg in self.levels:
-            if src.size:
-                pin_arrival = arrival[src] + wires
-                worst = np.maximum.reduceat(
-                    pin_arrival, np.minimum(starts, pin_arrival.size - 1))
-                worst[counts == 0] = 0.0
-                np.maximum(worst, 0.0, out=worst)
-            else:
-                worst = np.zeros(outs.size, dtype=np.float64)
-            arrival[outs] = worst + delays
-        names = self.net_names
-        return {names[i]: float(arrival[i]) for i in self.arrival_keys}
-
-    def backward(self, ff_required: float, port_required: float
-                 ) -> Dict[str, float]:
-        """Required sweep; same key set and values as the scalar loop."""
-        np = self.np
-        required = np.full(self.n_nets, INF, dtype=np.float64)
-        if self.ffd_ids.size:
-            np.minimum.at(required, self.ffd_ids,
-                          ff_required - self.ffd_wire)
-        if self.oport_ids.size:
-            np.minimum.at(required, self.oport_ids,
-                          port_required - self.oport_wire)
-        for outs, delays, src, wires, _starts, _counts, pin_gate in \
-                reversed(self.levels):
-            if not src.size:
-                continue
-            budget = required[outs] - delays
-            np.minimum.at(required, src, budget[pin_gate] - wires)
-        names = self.net_names
-        return {names[i]: float(required[i])
-                for i in range(self.n_nets) if required[i] < INF}
-
-
 class TimingContext:
     """Constraint-independent STA state bound to one netlist.
 
@@ -304,7 +155,6 @@ class TimingContext:
         self.wire = wire_model or WireModel()
         self.tsv_cap_ff = tsv_cap_ff
         self._prepared = False
-        self._vplan: Optional[_VectorPlan] = None
 
     # ------------------------------------------------------------------
     # Preparation (once per netlist, or after invalidation)
@@ -439,7 +289,6 @@ class TimingContext:
         self._active_pairs: Dict[Tuple, Dict[str, List[Tuple[str, str]]]] = {}
 
         self._prepared = True
-        self._vplan = None
         trace.inc("sta.context_builds")
 
     # ------------------------------------------------------------------
@@ -448,7 +297,6 @@ class TimingContext:
     def invalidate(self) -> None:
         """Drop all cached state (needed after structural edits)."""
         self._prepared = False
-        self._vplan = None
 
     def invalidate_nets(self, net_names) -> None:
         """Refresh loads / wire delays / driver delays for nets whose
@@ -508,7 +356,6 @@ class TimingContext:
             # a port endpoint moved between nets: the per-case endpoint
             # plans snapshot the port->net map, so drop them
             self._endpoint_plans.clear()
-        self._vplan = None  # baked wire/gate delay arrays are stale
         trace.inc("sta.context_invalidations")
 
     # ------------------------------------------------------------------
@@ -606,48 +453,35 @@ class TimingContext:
 
         untimed_nets = self._untimed_base | set(consts)
 
-        # Numpy backend: the levelized sweeps cover exactly the no-case
-        # analysis; case analysis reshapes the active graph per call and
-        # stays on the scalar path (both are byte-identical anyway).
-        vplan: Optional[_VectorPlan] = None
-        if not consts and use_numpy():
-            if self._vplan is None:
-                self._vplan = _VectorPlan(self)
-            vplan = self._vplan
-
         case_key = tuple(sorted(case.items())) if case else ()
         active_input_nets = self._active_inputs_fn(consts, untimed_nets,
                                                    case_key)
 
         # ---- forward: arrival at net driver outputs --------------------
-        if vplan is not None:
-            arrival: Dict[str, float] = vplan.forward(
-                constraint.input_delay_ps)
-        else:
-            arrival = {}
-            for port in netlist.ports.values():
-                if port.direction is PortDirection.INPUT \
-                        and port.net is not None \
-                        and port.kind not in _UNTIMED_PORT_KINDS:
-                    arrival[port.net] = constraint.input_delay_ps
-            for inst in self._ffs:
-                out = inst.output_net()
-                if out is not None:
-                    arrival[out] = gate_delay[inst.name]
+        arrival: Dict[str, float] = {}
+        for port in netlist.ports.values():
+            if port.direction is PortDirection.INPUT \
+                    and port.net is not None \
+                    and port.kind not in _UNTIMED_PORT_KINDS:
+                arrival[port.net] = constraint.input_delay_ps
+        for inst in self._ffs:
+            out = inst.output_net()
+            if out is not None:
+                arrival[out] = gate_delay[inst.name]
 
-            for name in self._topo:
-                inst = netlist.instance(name)
-                active = active_input_nets(inst)
-                out = inst.output_net()
-                if out is None or out in consts:
-                    continue
-                worst_in = 0.0
-                for pin_name, net_name in active:
-                    pin_arrival = (arrival.get(net_name, 0.0)
-                                   + wire_delays.get(
-                                       (net_name, name, pin_name), 0.0))
-                    worst_in = max(worst_in, pin_arrival)
-                arrival[out] = worst_in + gate_delay[name]
+        for name in self._topo:
+            inst = netlist.instance(name)
+            active = active_input_nets(inst)
+            out = inst.output_net()
+            if out is None or out in consts:
+                continue
+            worst_in = 0.0
+            for pin_name, net_name in active:
+                pin_arrival = (arrival.get(net_name, 0.0)
+                               + wire_delays.get(
+                                   (net_name, name, pin_name), 0.0))
+                worst_in = max(worst_in, pin_arrival)
+            arrival[out] = worst_in + gate_delay[name]
 
         # ---- endpoints ---------------------------------------------------
         period = constraint.period_ps if constraint.is_constrained else INF
@@ -688,44 +522,40 @@ class TimingContext:
             port_slack[port.name] = endpoint.slack_ps
 
         # ---- backward: required time at each net ------------------------
-        if vplan is not None:
-            required: Dict[str, float] = vplan.backward(ff_required,
-                                                        port_required)
-        else:
-            required = {}
+        required: Dict[str, float] = {}
 
-            def relax(net_name: str, value: float) -> None:
-                current = required.get(net_name, INF)
-                if value < current:
-                    required[net_name] = value
+        def relax(net_name: str, value: float) -> None:
+            current = required.get(net_name, INF)
+            if value < current:
+                required[net_name] = value
 
-            for inst in self._ffs:
-                net_name = inst.connections.get("D")
-                if net_name is None or net_name in untimed_nets:
-                    continue
+        for inst in self._ffs:
+            net_name = inst.connections.get("D")
+            if net_name is None or net_name in untimed_nets:
+                continue
+            relax(net_name,
+                  ff_required - wire_delays.get(
+                      (net_name, inst.name, "D"), 0.0))
+        for port in netlist.ports.values():
+            if port.direction is PortDirection.OUTPUT \
+                    and port.net is not None:
+                relax(port.net,
+                      port_required - wire_delays.get(
+                          (port.net, port.name, ""), 0.0))
+
+        for name in reversed(self._topo):
+            inst = netlist.instance(name)
+            out = inst.output_net()
+            if out is None or out in consts:
+                continue
+            out_required = required.get(out, INF)
+            if out_required is INF:
+                continue
+            budget = out_required - gate_delay[name]
+            for pin_name, net_name in active_input_nets(inst):
                 relax(net_name,
-                      ff_required - wire_delays.get(
-                          (net_name, inst.name, "D"), 0.0))
-            for port in netlist.ports.values():
-                if port.direction is PortDirection.OUTPUT \
-                        and port.net is not None:
-                    relax(port.net,
-                          port_required - wire_delays.get(
-                              (port.net, port.name, ""), 0.0))
-
-            for name in reversed(self._topo):
-                inst = netlist.instance(name)
-                out = inst.output_net()
-                if out is None or out in consts:
-                    continue
-                out_required = required.get(out, INF)
-                if out_required is INF:
-                    continue
-                budget = out_required - gate_delay[name]
-                for pin_name, net_name in active_input_nets(inst):
-                    relax(net_name,
-                          budget - wire_delays.get(
-                              (net_name, name, pin_name), 0.0))
+                      budget - wire_delays.get(
+                          (net_name, name, pin_name), 0.0))
 
         result = TimingResult(
             netlist_name=netlist.name,
@@ -760,9 +590,7 @@ class TimingContext:
         the exact full-sweep formulas, and changes propagate through
         the same topological orders. Endpoints on untouched capture
         nets are reused from *previous*; the critical path is re-folded
-        over every endpoint. Always scalar — the numpy ``_VectorPlan`` sweeps are
-        byte-identical to the scalar loops, so the delta matches both
-        backends.
+        over every endpoint.
         """
         if not self._prepared:
             return self.analyze(constraint, case)

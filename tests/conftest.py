@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.runtime import trace
-from repro.runtime.config import current_config
+from repro.runtime.config import configure, current_config
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +26,18 @@ def _isolate_runtime_config():
         trace.stop()
         if tracer_before is not None:
             trace.start(tracer_before.trace_dir, role=tracer_before.role)
+
+
+@pytest.fixture(scope="module", params=["python"])
+def kernel(request):
+    """The kernel set a kernel-level test runs on. Each kernel has one
+    implementation, the pure-Python one (DESIGN.md §11), so there is a
+    single leg; it runs under ``configure(backend="python")``, the call
+    the end-to-end benchmark makes, which is accepted and ignored. The
+    ``[python]`` id keeps each test's name the same as when a second
+    kernel set existed."""
+    configure(backend=request.param)
+    return request.param
 
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile

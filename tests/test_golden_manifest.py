@@ -10,8 +10,7 @@ shows up here as a readable diff, not as a silent drift.
 The run happens in a subprocess so the per-process memo caches warmed
 by other tests cannot suppress the metric observations. It runs at
 ``--jobs 1`` and ``--jobs 2``: the worker metric ship-back must roll up
-to the same pinned manifest as the serial run. ``REPRO_BACKEND`` passes
-through, so the numpy CI leg gates the same golden on its backend.
+to the same pinned manifest as the serial run.
 """
 
 import json

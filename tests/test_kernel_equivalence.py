@@ -14,9 +14,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
-
 from repro.atpg.sim import CompiledCircuit
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
@@ -38,16 +35,7 @@ _WIDTH = 64
 _MASK = (1 << _WIDTH) - 1
 _CLOCK = ClockConstraint(period_ps=900.0)
 
-
-@pytest.fixture(scope="module", params=["python", "numpy"], autouse=True)
-def kernel_backend(request):
-    """Every equivalence test runs once per kernel backend: the numpy
-    kernels must match the oracles exactly as the python ones do."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    configure(backend=request.param)
-    yield request.param
-    configure(backend="python")
+pytestmark = pytest.mark.usefixtures("kernel")
 
 
 def _view(seed: int, n_gates: int = 30, n_inputs: int = 5):
@@ -203,45 +191,6 @@ def test_grid_sweep_matches_brute_force(timed_problem, kind, d_th_fraction):
     assert grid.stats == brute.stats
     assert grid.nodes == brute.nodes
     assert grid.excluded_tsvs == brute.excluded_tsvs
-
-
-# ---------------------------------------------------------------------------
-# Cross-backend byte-identity on every topology family
-# ---------------------------------------------------------------------------
-def _family_solve_fp(spec):
-    """(result fingerprint, stable counters, manifest fingerprint) of a
-    full WCM solve of *spec* under the currently configured backend —
-    the same identity surface the eco differential check pins."""
-    from repro.core.flow import run_wcm_flow
-    from repro.core.session import result_fingerprint
-    from repro.verify.checks import _eco_solve
-
-    problem = spec.build_problem()
-    config = spec.build_config(problem)
-    result, counters, manifest_fp = _eco_solve(
-        lambda: run_wcm_flow(problem, config))
-    return result_fingerprint(result), counters, manifest_fp
-
-
-@pytest.mark.parametrize("family", ["grid", "chain", "ring", "star",
-                                    "htree", "soc"])
-def test_families_byte_identical_across_backends(kernel_backend, family):
-    """python and numpy backends produce byte-identical results,
-    rejection stats and manifest fingerprints on every family."""
-    if kernel_backend != "python":
-        pytest.skip("cross-backend pair runs once, from the python leg")
-    if not numpy_available():
-        pytest.skip("numpy not installed")
-    from repro.verify.instances import InstanceSpec
-
-    spec = InstanceSpec(seed=9, family=family, gates=28, ffs=3,
-                        tsv_in=3, tsv_out=3)
-    configure(backend="python")
-    python_fp = _family_solve_fp(spec)
-    configure(backend="numpy")
-    numpy_fp = _family_solve_fp(spec)
-    configure(backend="python")
-    assert python_fp == numpy_fp
 
 
 def test_grid_sweep_zero_threshold_rejects_all_pairs(timed_problem):

@@ -6,16 +6,13 @@ designer and an exhaustive branch-and-bound packer check the greedy
 production paths over a seeded corpus, with the heuristic's optimality
 ratio pinned. Hypothesis sweeps pin the structural invariants (exact
 cover, no lane/time overlap, monotone staircases), and the driver
-tests pin byte-identical output across worker counts and kernel
-backends.
+tests pin byte-identical output across worker counts.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.common import SCALES, result_fingerprint
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
 from repro.schedule import (
     DieTestModel,
     balanced_chain_lengths,
@@ -364,19 +361,6 @@ class TestDriver:
         parallel = run_schedule(SMOKE, fixed_patterns=24,
                                 circuits=("b11",), families=(), jobs=2)
         assert result_fingerprint(serial) == result_fingerprint(parallel)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_driver_deterministic_across_backends(self):
-        try:
-            configure(backend="numpy")
-            with_numpy = run_schedule(SMOKE, fixed_patterns=24,
-                                      circuits=("b11",), families=())
-        finally:
-            configure(backend="python")
-        with_python = run_schedule(SMOKE, fixed_patterns=24,
-                                   circuits=("b11",), families=())
-        assert result_fingerprint(with_numpy) == \
-            result_fingerprint(with_python)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -12,8 +12,6 @@ from repro.core.flow import run_wcm_flow
 from repro.core.problem import build_problem
 from repro.core.session import (AddTsv, MoveFf, MoveTsv, RemoveTsv,
                                 SetThreshold, WcmSession)
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
 from repro.netlist.core import PortKind
 from repro.runtime import trace
 from repro.util.errors import ConfigError
@@ -21,16 +19,9 @@ from repro.verify.checks import _eco_result_fp
 from repro.verify.instances import InstanceSpec
 
 
-@pytest.fixture(scope="module", params=["python", "numpy"], autouse=True)
-def kernel_backend(request):
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    configure(backend=request.param)
-    yield request.param
-    configure(backend="python")
-
-
 SPEC = InstanceSpec(seed=77, gates=36, ffs=5, tsv_in=4, tsv_out=3)
+
+pytestmark = pytest.mark.usefixtures("kernel")
 
 
 def fresh_session(**kwargs):

@@ -3,26 +3,15 @@
 The incremental session leans on subset invalidation: after a position
 change, only the nets incident to the moved object are refreshed, and
 the next ``analyze``/``analyze_delta`` must be byte-identical to a
-fresh context built over the moved netlist. On the numpy backend the
-baked ``_VectorPlan`` arrays must be dropped and rebuilt too — a stale
-plan would silently reuse pre-move wire delays.
+fresh context built over the moved netlist.
 """
 
 import pytest
 
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED
 from repro.sta.timer import TimingContext, default_case
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
 
-
-@pytest.fixture(scope="module", params=["python", "numpy"], autouse=True)
-def kernel_backend(request):
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    configure(backend=request.param)
-    yield request.param
-    configure(backend="python")
+pytestmark = pytest.mark.usefixtures("kernel")
 
 
 def _incident_nets(inst):
@@ -44,22 +33,15 @@ def assert_same_timing(got, want):
 
 
 class TestInvalidateNets:
-    def test_subset_invalidation_matches_fresh(self, medium_die,
-                                               kernel_backend):
+    def test_subset_invalidation_matches_fresh(self, medium_die):
         netlist = medium_die.clone()
         context = TimingContext(netlist)
         base = context.analyze()
-        if kernel_backend == "numpy":
-            assert context._vplan is not None, \
-                "caseless analyze should bake a _VectorPlan"
 
         gate = _movable_gate(netlist)
         gate.x += 180.0
         gate.y += 95.0
         context.invalidate_nets(_incident_nets(gate))
-        if kernel_backend == "numpy":
-            assert context._vplan is None, \
-                "invalidate_nets must drop the baked _VectorPlan"
 
         fresh = TimingContext(netlist).analyze()
         assert_same_timing(context.analyze(), fresh)
@@ -100,16 +82,3 @@ class TestInvalidateNets:
                                       dirty_nets=[port.net])
         fresh = TimingContext(netlist).analyze(UNCONSTRAINED, case=case)
         assert_same_timing(delta, fresh)
-
-    def test_vplan_rebuilt_and_reused(self, medium_die, kernel_backend):
-        if kernel_backend != "numpy":
-            pytest.skip("vector plan exists only on the numpy backend")
-        netlist = medium_die.clone()
-        context = TimingContext(netlist)
-        context.analyze()
-        gate = _movable_gate(netlist)
-        gate.x += 75.0
-        context.invalidate_nets(_incident_nets(gate))
-        rebuilt = context.analyze()
-        assert context._vplan is not None
-        assert_same_timing(rebuilt, TimingContext(netlist).analyze())

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.backend import numpy_available
-from repro.runtime.config import configure
 from repro.verify import InstanceSpec, run_checks
 
 REPRO_DIR = Path(__file__).parent / "repros"
@@ -52,19 +50,11 @@ def test_corpus_covers_degenerate_corners():
         "no coincident FF-rich repro"
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("kernel", ["python"], indirect=True)
 @pytest.mark.parametrize("path", REPRO_FILES, ids=lambda p: p.stem)
-def test_repro_replays_clean(path, backend):
-    """The corpus replays clean on both kernel backends — every repro
-    that once caught a python-kernel bug also guards the numpy one."""
-    if backend == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    configure(backend=backend)
-    try:
-        spec = InstanceSpec.load(path)
-        divergences = run_checks(spec)
-    finally:
-        configure(backend="python")
+def test_repro_replays_clean(path, kernel):
+    """Every repro that once caught a kernel bug still replays clean."""
+    divergences = run_checks(InstanceSpec.load(path))
     assert not divergences, "\n".join(divergences)
 
 
