@@ -415,9 +415,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
     from repro.core.flow import run_wcm_flow
     from repro.core.problem import tight_clock_for
     from repro.core.session import (AddTsv, MoveFf, MoveTsv, RemoveTsv,
-                                    SetThreshold, WcmSession)
+                                    SetThreshold, WcmSession,
+                                    result_fingerprint)
     from repro.netlist.core import PortKind
-    from repro.verify.checks import _eco_result_fp
 
     seed = getattr(args, "seed", None) or 2019
     profile = die_profile(args.circuit, args.die)
@@ -480,7 +480,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
                 clone, clock=session.config.scenario.clock,
                 already_prepared=True)
             want = run_wcm_flow(oracle_problem, session.config)
-            ok = _eco_result_fp(result) == _eco_result_fp(want)
+            ok = result_fingerprint(result) == result_fingerprint(want)
             status += f" verify={'ok' if ok else 'MISMATCH'}"
         print(status)
         return ok

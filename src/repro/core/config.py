@@ -95,13 +95,9 @@ class WcmConfig:
     cov_th: float = 0.005
     #: max tolerated test-pattern increase per sharing decision
     p_th: int = 10
-    #: testability estimator mode: "structural" (size-scaled, selective
-    #: — the default; its rejection rate matches the paper's few-percent
-    #: edge expansion) or "faultsim" (measures the actual detection loss
-    #: under packed random patterns; more permissive)
-    estimator_mode: str = "structural"
-    #: cap on per-die fault-sim pair checks before falling back to the
-    #: structural estimate (keeps big dies tractable)
+    #: ignored: the testability estimate is structural and needs no
+    #: per-die budget; kept for callers that still pass
+    #: ``ours(..., estimator_budget=...)``
     estimator_budget: int = 4000
     #: design-rule bound on TSVs per wrapper group (XOR-chain aliasing
     #: and routing); binds mainly where cap_th does not (outbound /
@@ -112,18 +108,12 @@ class WcmConfig:
     signoff_repair: bool = True
     #: max repair iterations before giving up
     repair_iterations: int = 20
-    seed: int = 2019
 
     def __post_init__(self) -> None:
         if self.cov_th < 0:
             raise ConfigError(f"cov_th must be >= 0, got {self.cov_th}")
         if self.p_th < 0:
             raise ConfigError(f"p_th must be >= 0, got {self.p_th}")
-        if self.estimator_mode not in ("faultsim", "structural"):
-            raise ConfigError(
-                f"estimator_mode must be 'faultsim' or 'structural', "
-                f"got {self.estimator_mode!r}"
-            )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -11,8 +11,9 @@ Edges (at least one endpoint a TSV, never FF–FF):
 2. the method's timing model admits the pair,
 3. cones non-overlapped — tested with per-node cone *bitsets*, so the
    O(n²) pair sweep costs one big-int AND per pair — or, when
-   overlapped and ``allow_overlap`` is set, the ATPG-backed estimate
-   stays within ``cov_th``/``p_th``.
+   overlapped and ``allow_overlap`` is set, the structural testability
+   estimate (:mod:`repro.core.testability`) stays within
+   ``cov_th``/``p_th``.
 
 The returned :class:`WcmGraph` carries rejection statistics for the
 Fig. 7 edge-count analysis.

@@ -15,10 +15,12 @@ re-solving incrementally:
   ``analyze_delta`` instead of full sweeps.
 * **Dirty region.** Per-node signatures capture everything the pair
   feasibility checks read (position, baseline arrivals/requireds,
-  loads). Memoized ``pair_feasible`` outcomes survive between solves
-  for node pairs whose signatures did not change; the sharing graph is
-  rebuilt through the memo, so rejection statistics and trace counters
-  come out identical to a cold build.
+  loads). Memoized pair outcomes (timing and cone-overlap rejections,
+  clean edges, testability estimates) survive between solves for node
+  pairs whose signatures did not change, and the previous sharing
+  graph is replayed pair by pair with only the dirty pairs
+  re-considered, so rejection statistics and trace counters come out
+  identical to a cold build.
 * **Partition reuse.** ``merged_state`` outcomes are memoized on state
   values (:func:`repro.core.clique._merged_state_fn`); when an edit
   leaves a kind's graph and node states untouched,
@@ -123,32 +125,6 @@ Edit = Union[MoveFf, MoveTsv, AddTsv, RemoveTsv, SetThreshold]
 # ---------------------------------------------------------------------------
 # Memoized flow pieces
 # ---------------------------------------------------------------------------
-class _MemoModel(ReuseTimingModel):
-    """ReuseTimingModel with a cross-solve ``pair_feasible`` memo.
-
-    The memo is keyed by the pair identity only; the session drops
-    every entry touching a node whose signature changed, so a hit is
-    always the value the uncached check would recompute.
-    """
-
-    def __init__(self, problem: WcmProblem, config: WcmConfig,
-                 pair_memo: Dict) -> None:
-        super().__init__(problem, config)
-        self._pair_memo = pair_memo
-
-    def pair_feasible(self, name_a: str, name_b: str, kind: PortKind,
-                      a_is_ff: bool, b_is_ff: bool) -> bool:
-        key = (kind, name_a, name_b, a_is_ff, b_is_ff)
-        memo = self._pair_memo
-        try:
-            return memo[key]
-        except KeyError:
-            result = super().pair_feasible(name_a, name_b, kind,
-                                           a_is_ff, b_is_ff)
-            memo[key] = result
-            return result
-
-
 @dataclass
 class _WrappedBuild:
     """One cached sign-off build (keyed by its plan's fingerprint)."""
@@ -284,7 +260,6 @@ class WcmSession:
                 netlist, clock=self._clock, placement=placement,
                 already_prepared=already_prepared)
         # cross-solve memos
-        self._pair_memo: Dict = {}
         self._edge_memo: Dict = {}
         self._merge_memo: Dict = {}
         self._graph_cache: Dict[PortKind, _GraphCache] = {}
@@ -303,7 +278,7 @@ class WcmSession:
         self.last_fallback: Optional[str] = None
         self.edit_count = 0
         # per-solve scratch (set in solve())
-        self._solve_model: Optional[_MemoModel] = None
+        self._solve_model: Optional[ReuseTimingModel] = None
         self._solve_dirty: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -393,7 +368,7 @@ class WcmSession:
         else:
             self._refresh_baseline()
 
-        model = _MemoModel(self.problem, self.config, self._pair_memo)
+        model = ReuseTimingModel(self.problem, self.config)
         sigs = self._node_signatures(model)
         dirty = {name for name in set(sigs) | set(self._node_sigs)
                  if sigs.get(name) != self._node_sigs.get(name)}
@@ -405,18 +380,16 @@ class WcmSession:
                 and frac > self.fallback_ratio:
             self._fallback("dirty_frac")
             # the problem was rebuilt; re-derive the model and
-            # signatures from it (the memo dict was cleared in place,
-            # so the fresh model starts cold as intended)
-            model = _MemoModel(self.problem, self.config, self._pair_memo)
+            # signatures from it
+            model = ReuseTimingModel(self.problem, self.config)
             sigs = self._node_signatures(model)
             dirty = set(sigs)
         if dirty:
-            # in place: the model already holds a reference to this dict
-            for memo in (self._pair_memo, self._edge_memo):
-                stale = [key for key in memo
-                         if key[1] in dirty or key[2] in dirty]
-                for key in stale:
-                    del memo[key]
+            memo = self._edge_memo
+            stale = [key for key in memo
+                     if key[1] in dirty or key[2] in dirty]
+            for key in stale:
+                del memo[key]
         self._node_sigs = sigs
         self._solve_model = model
         self._solve_dirty = dirty
@@ -436,7 +409,6 @@ class WcmSession:
                                      already_prepared=True)
         self._base_rev = _reverse_anchors(self.problem.dedicated_anchors)
         self._base_order = self._dedicated_order()
-        self._pair_memo.clear()
         self._edge_memo.clear()
         self._graph_cache.clear()
         self._frozen.clear()
@@ -570,14 +542,10 @@ class WcmSession:
                         ) -> Optional[OverlapTestabilityEstimator]:
         if not config.allow_overlap:
             return None
-        if config.estimator_mode != "structural":
-            # faultsim estimates are budget-position-dependent: a reused
-            # instance's call counter would diverge from a cold one
-            return OverlapTestabilityEstimator(problem, config)
-        # Structural estimates depend only on cone overlaps and the
-        # fault universe — netlist structure, not positions, timing or
-        # thresholds — so one prepared instance (with its per-pair
-        # cache) serves every scoped solve; dropped on structural edits.
+        # Estimates depend only on cone overlaps and the fault
+        # universe — netlist structure, not positions, timing or
+        # thresholds — so one instance (with its per-pair cache)
+        # serves every scoped solve; dropped on structural edits.
         if self._estimator is None:
             self._estimator = OverlapTestabilityEstimator(problem, config)
         return self._estimator
@@ -586,16 +554,7 @@ class WcmSession:
                      available_ffs, config: WcmConfig,
                      model: ReuseTimingModel, estimator) -> WcmGraph:
         """Build one direction's sharing graph, replaying the previous
-        build's pair log when possible (see :class:`_GraphCache`).
-
-        The cross-solve edge memo and the replay are gated on the
-        structural estimator: faultsim estimates depend on the
-        estimator's call order and budget position, so reusing them
-        across solves could diverge from a cold run.
-        """
-        if config.estimator_mode != "structural":
-            return build_wcm_graph(problem, kind, available_ffs, config,
-                                   model, estimator)
+        build's pair log when possible (see :class:`_GraphCache`)."""
         d_th = effective_d_th(problem, config)
         check_distance = math.isfinite(d_th) and config.scenario.is_timed
         cache = self._graph_cache.get(kind)

@@ -1,43 +1,36 @@
-"""ATPG-backed testability estimates for overlapped-cone sharing.
+"""Testability estimates for overlapped-cone sharing.
 
 Algorithm 1 admits an edge despite overlapping cones when the estimated
 coverage drop stays below ``cov_th`` and the pattern increase below
 ``p_th``. The paper delegates this to a commercial ATPG; here the
-estimate is measured on the die itself:
+estimate is structural and calibrated on the die itself:
 
-* an *ideal wrapped view* of the bare die is compiled (every inbound
-  TSV an independent control column, every outbound TSV observed) —
-  the best any wrapper plan could do;
-* for an **inbound** pair, sharing ties the TSV's column to the other
-  endpoint's column; the effect is re-propagated event-style and the
-  stem faults inside the cone overlap are fault-simulated under both
-  input regimes;
-* for an **outbound** pair, sharing XOR-merges two observation points;
-  each overlap fault's per-observation difference words are combined
-  with XOR (aliasing) instead of OR;
-* the coverage drop is the fraction of universe faults that were
-  detected independently but die under sharing; the pattern increase
-  is estimated as one deterministic pattern per lost-or-weakened fault.
+* the fault universe is that of an *ideal wrapped view* of the bare
+  die (every inbound TSV an independent control column, every outbound
+  TSV observed) — the best any wrapper plan could do;
+* both stem polarities of every object inside the cone overlap are at
+  risk of correlation masking (a tied control column or an XOR-merged
+  observation); half of them are counted as lost, so the coverage
+  drop is the overlap size scaled against the universe;
+* the pattern increase is one deterministic pattern per ten overlap
+  objects.
 
-Costs are bounded: stem faults only, one packed block, per-pair
-caching, and a per-die budget after which the structural fallback
-(overlap size scaled against the universe) is used — the same
-accuracy/effort trade a commercial incremental ATPG makes.
+The universe is counted once per die, on first use. After that a
+pair's estimate depends only on the size of its overlap; it is cached
+per pair, but the caller has already intersected the two cones by then.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.atpg.faults import FaultKind, build_fault_list
-from repro.atpg.sim import CompiledCircuit
+from repro.atpg.faults import build_fault_list
 from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
 from repro.dft.testview import TestView
 from repro.netlist.core import Netlist, PortKind
-from repro.util.rng import DeterministicRng
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,6 @@ class OverlapEstimate:
 
     coverage_drop: float  # fraction of the fault universe
     extra_patterns: int
-    mode: str  # "faultsim" | "structural"
 
     def within(self, cov_th: float, p_th: int) -> bool:
         return self.coverage_drop < cov_th and self.extra_patterns < p_th
@@ -84,187 +76,32 @@ class OverlapTestabilityEstimator:
         self.problem = problem
         self.config = config
         self._cache: Dict[Tuple[str, str, PortKind], OverlapEstimate] = {}
-        self._faultsim_calls = 0
-        self._ready = False
-        # Lazy simulation state (built on first fault-sim estimate).
-        self._circuit: Optional[CompiledCircuit] = None
-        self._good: Optional[List[int]] = None
-        self._mask = 0
-        self._universe = 1
-        self._stem_net_ids: Dict[str, int] = {}
-        self._base_detection: Dict[int, int] = {}
-        self._block_width = 256
+        self._universe: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    def _prepare(self) -> None:
-        if self._ready:
-            return
-        self._ready = True
-        netlist = self.problem.netlist
-        view = build_ideal_wrapped_view(netlist)
-        circuit = CompiledCircuit(view)
-        self._circuit = circuit
-        rng = DeterministicRng(self.config.seed).child(
-            "overlap_estimator", netlist.name)
-        self._mask = (1 << self._block_width) - 1
-        words = [rng.getrandbits(self._block_width)
-                 for _ in range(circuit.input_count)]
-        self._good = circuit.simulate(words, self._mask)
+    def _universe_size(self) -> int:
+        """Collapsed fault count of the ideal wrapped view (counted on
+        first use; never below 1)."""
+        if self._universe is None:
+            view = build_ideal_wrapped_view(self.problem.netlist)
+            self._universe = max(
+                1, build_fault_list(view, include_branches=True).total)
+        return self._universe
 
-        fault_list = build_fault_list(view, include_branches=True)
-        self._universe = max(1, fault_list.total)
-        for fault in fault_list.faults:
-            if fault.kind is FaultKind.STEM:
-                nid = circuit.net_ids.get(fault.net)
-                if nid is not None:
-                    self._stem_net_ids[fault.net] = nid
-
-    # ------------------------------------------------------------------
-    def _overlap_nets(self, overlap: FrozenSet[str]) -> List[int]:
-        """Stem-fault net ids of the gates/ports inside an overlap."""
-        self._prepare()
-        netlist = self.problem.netlist
-        circuit = self._circuit
-        nets: Set[int] = set()
-        for name in overlap:
-            if name in netlist.instances:
-                out = netlist.instances[name].output_net()
-                if out is not None:
-                    nid = circuit.net_ids.get(out)
-                    if nid is not None:
-                        nets.add(nid)
-            elif name in netlist.ports:
-                net = netlist.ports[name].net
-                if net is not None:
-                    nid = circuit.net_ids.get(net)
-                    if nid is not None:
-                        nets.add(nid)
-        return sorted(nets)
-
-    def _detect_words(self, good: List[int], net_ids: List[int],
-                      alias_pair: Optional[Tuple[int, int]] = None
-                      ) -> Dict[int, int]:
-        """Detection word per stem fault site (both polarities OR-ed)
-        under a given good-machine baseline and observation regime."""
-        circuit = self._circuit
-        mask = self._mask
-        result: Dict[int, int] = {}
-        for nid in net_ids:
-            total = 0
-            for value in (0, 1):
-                forced = mask if value else 0
-                if forced == (good[nid] & mask):
-                    continue
-                changed = circuit.propagate_values(good, {nid: forced}, mask)
-                if alias_pair is None:
-                    for cnid, word in changed.items():
-                        if cnid in circuit.observed:
-                            total |= (word ^ good[cnid])
-                else:
-                    o1, o2 = alias_pair
-                    diff1 = (changed.get(o1, good[o1]) ^ good[o1])
-                    diff2 = (changed.get(o2, good[o2]) ^ good[o2])
-                    total |= (diff1 ^ diff2)
-                    for cnid, word in changed.items():
-                        if cnid in circuit.observed and cnid not in (o1, o2):
-                            total |= (word ^ good[cnid])
-            result[nid] = total & mask
-        return result
-
-    # ------------------------------------------------------------------
     def estimate(self, name_a: str, name_b: str, kind: PortKind,
                  overlap: FrozenSet[str]) -> OverlapEstimate:
         """Impact of letting *name_a* and *name_b* share, given their
         cone *overlap* (non-empty)."""
         key = (min(name_a, name_b), max(name_a, name_b), kind)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._cache[key] = self._structural_estimate(overlap)
+        return cached
 
-        use_faultsim = (self.config.estimator_mode == "faultsim"
-                        and self._faultsim_calls < self.config.estimator_budget)
-        if use_faultsim:
-            self._faultsim_calls += 1
-            estimate = self._faultsim_estimate(name_a, name_b, kind, overlap)
-        else:
-            estimate = self._structural_estimate(overlap)
-        self._cache[key] = estimate
-        return estimate
-
-    # ------------------------------------------------------------------
     def _structural_estimate(self, overlap: FrozenSet[str]) -> OverlapEstimate:
-        """Fallback: scale the overlap size against the universe.
-
-        Calibration: roughly half the overlap's stem faults are at risk
-        of correlation masking and one in ten needs a deterministic
-        pattern to recover — consistent with what the fault-sim mode
-        measures on the small dies.
-        """
-        self._prepare()
+        """Scale the overlap size against the universe: half of the
+        overlap's stem faults (both polarities) are counted as lost and
+        one overlap object in ten needs a deterministic pattern."""
         at_risk = len(overlap)
-        drop = 0.5 * (2.0 * at_risk) / self._universe
+        drop = 0.5 * (2.0 * at_risk) / self._universe_size()
         extra = math.ceil(0.1 * at_risk)
-        return OverlapEstimate(coverage_drop=drop, extra_patterns=extra,
-                               mode="structural")
-
-    def _faultsim_estimate(self, name_a: str, name_b: str, kind: PortKind,
-                           overlap: FrozenSet[str]) -> OverlapEstimate:
-        self._prepare()
-        circuit, good, mask = self._circuit, self._good, self._mask
-        netlist = self.problem.netlist
-        net_ids = self._overlap_nets(overlap)
-        if not net_ids:
-            return OverlapEstimate(0.0, 0, "faultsim")
-
-        base = self._detect_words(good, net_ids)
-
-        if kind is PortKind.TSV_INBOUND:
-            # Tie the TSV column(s) to the driving endpoint's column.
-            def control_net_of(name: str) -> Optional[int]:
-                if name in netlist.ports:
-                    net = netlist.ports[name].net
-                else:
-                    net = netlist.instances[name].output_net()
-                return circuit.net_ids.get(net) if net else None
-
-            nid_a = control_net_of(name_a)
-            nid_b = control_net_of(name_b)
-            if nid_a is None or nid_b is None:
-                return self._structural_estimate(overlap)
-            patched = list(good)
-            changed = circuit.propagate_values(good, {nid_b: good[nid_a]},
-                                               mask)
-            for cnid, word in changed.items():
-                patched[cnid] = word
-            shared = self._detect_words(patched, net_ids)
-        else:
-            # XOR-merge the two observation nets.
-            def observe_net_of(name: str) -> Optional[int]:
-                if name in netlist.ports:
-                    net = netlist.ports[name].net
-                    return circuit.net_ids.get(net) if net else None
-                d_net = netlist.instances[name].connections.get("D")
-                return circuit.net_ids.get(d_net) if d_net else None
-
-            o1 = observe_net_of(name_a)
-            o2 = observe_net_of(name_b)
-            if o1 is None or o2 is None:
-                return self._structural_estimate(overlap)
-            shared = self._detect_words(good, net_ids, alias_pair=(o1, o2))
-
-        lost = 0
-        weakened = 0
-        for nid in net_ids:
-            before = base.get(nid, 0)
-            after = shared.get(nid, 0)
-            if before and not after:
-                lost += 1
-            elif before and after:
-                count_before = bin(before).count("1")
-                count_after = bin(after).count("1")
-                if count_after * 4 < count_before and count_after <= 2:
-                    weakened += 1
-        drop = (2.0 * lost) / self._universe  # both polarities at risk
-        extra = lost + weakened
-        return OverlapEstimate(coverage_drop=drop, extra_patterns=extra,
-                               mode="faultsim")
+        return OverlapEstimate(coverage_drop=drop, extra_patterns=extra)

@@ -49,6 +49,8 @@ class ExperimentScale:
     atpg_block_width: int
     atpg_max_blocks: int
     atpg_podem_limit: Optional[int]
+    #: ignored by the flow (see ``WcmConfig.estimator_budget``); still a
+    #: result-cache key component, so existing caches stay valid
     estimator_budget: int
 
     def atpg_config(self, gate_count: int, seed: int = DEFAULT_SEED

@@ -21,6 +21,7 @@ from repro.core.clique import CliquePartition, partition_cliques
 from repro.core.config import WcmConfig
 from repro.core.graph import WcmGraph, build_wcm_graph
 from repro.core.problem import WcmProblem
+from repro.core.session import result_fingerprint
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
 from repro.dft.testview import TestView, build_prebond_test_view
@@ -56,9 +57,9 @@ class Subject:
         self.view: TestView = build_prebond_test_view(self.problem.netlist)
         self.circuit = CompiledCircuit(self.view)
 
-    # Fresh collaborators per call: the model memoizes lookups and the
-    # estimator is budgeted/stateful, so kernel and oracle sides must
-    # each start cold to see identical call sequences.
+    # Fresh collaborators per call: the model and the estimator cache
+    # answers per pair, so a shared one would hand the oracle side the
+    # kernel's answers instead of recomputing them.
     def fresh_model(self) -> ReuseTimingModel:
         return ReuseTimingModel(self.problem, self.config)
 
@@ -477,25 +478,8 @@ def check_metamorphic_isolated_ff(subject: Subject) -> List[str]:
 #: solve and a cold one (cache hit counts, delta-STA call counts);
 #: everything else — clique merges, flow ECO rounds, grid pair splits —
 #: must match exactly
-_ECO_VOLATILE_COUNTERS = ("sta.", "session.", "sim.", "atpg.",
+_ECO_VOLATILE_COUNTERS = ("sta.", "session.", "atpg.",
                           "graph.cone_bitset_builds")
-
-
-def _eco_netlist_payload(netlist) -> dict:
-    """Canonical structural payload of a netlist (now shared with the
-    job server as :func:`repro.core.session.netlist_payload`)."""
-    from repro.core.session import netlist_payload
-
-    return netlist_payload(netlist)
-
-
-def _eco_result_fp(result) -> str:
-    """Fingerprint of everything a solve produces (the byte-identity
-    oracle surface, shared with ``repro.serve`` as
-    :func:`repro.core.session.result_fingerprint`)."""
-    from repro.core.session import result_fingerprint
-
-    return result_fingerprint(result)
 
 
 def _eco_solve(runner) -> tuple:
@@ -511,7 +495,7 @@ def _eco_solve(runner) -> tuple:
     manifest_fp = trace.manifest_fingerprint({
         "schema": "eco", "label": "eco", "config": None,
         "seed": None, "scale": None, "metrics": counters,
-        "result_fingerprint": _eco_result_fp(result),
+        "result_fingerprint": result_fingerprint(result),
     })
     return result, counters, manifest_fp
 
@@ -543,8 +527,8 @@ def check_eco(subject: Subject) -> List[str]:
     def step(tag: str) -> tuple:
         got, got_counters, got_manifest = _eco_solve(session.solve)
         want, want_counters, want_manifest = oracle()
-        got_fp = _eco_result_fp(got)
-        if got_fp != _eco_result_fp(want):
+        got_fp = result_fingerprint(got)
+        if got_fp != result_fingerprint(want):
             out.append(f"eco[{tag}]: session result differs from cold "
                        f"solve (fallback={session.last_fallback}, "
                        f"dirty_frac={session.last_dirty_frac:.3f})")

@@ -557,9 +557,9 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
     bitsets), distances straight from coordinates (no memo).
 
     Shares the :class:`ReuseTimingModel` feasibility leaf with the
-    kernel — pass a *fresh* model/estimator so their internal caches
-    start empty; the pair visit order matches the kernel's, so two
-    fresh estimators see identical call sequences.
+    kernel — pass a *fresh* model/estimator so their per-pair caches
+    start empty and every answer is computed from this sweep's own
+    overlaps, not read back from the kernel's.
     """
     model = timing_model or ReuseTimingModel(problem, config)
     stats = GraphStats()

@@ -58,5 +58,3 @@ class TestPresets:
             WcmConfig(scenario=scenario, cov_th=-0.1)
         with pytest.raises(ConfigError):
             WcmConfig(scenario=scenario, p_th=-1)
-        with pytest.raises(ConfigError):
-            WcmConfig(scenario=scenario, estimator_mode="psychic")

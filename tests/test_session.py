@@ -11,11 +11,11 @@ import pytest
 from repro.core.flow import run_wcm_flow
 from repro.core.problem import build_problem
 from repro.core.session import (AddTsv, MoveFf, MoveTsv, RemoveTsv,
-                                SetThreshold, WcmSession)
+                                SetThreshold, WcmSession,
+                                result_fingerprint)
 from repro.netlist.core import PortKind
 from repro.runtime import trace
 from repro.util.errors import ConfigError
-from repro.verify.checks import _eco_result_fp
 from repro.verify.instances import InstanceSpec
 
 
@@ -36,7 +36,7 @@ def cold_fp(session):
     problem = build_problem(session.netlist.clone(),
                             clock=session.config.scenario.clock,
                             already_prepared=True)
-    return _eco_result_fp(run_wcm_flow(problem, session.config))
+    return result_fingerprint(run_wcm_flow(problem, session.config))
 
 
 def die_span(session):
@@ -47,7 +47,7 @@ def die_span(session):
 class TestByteIdentity:
     def test_initial_solve_matches_cold(self):
         session = fresh_session()
-        assert _eco_result_fp(session.solve()) == cold_fp(session)
+        assert result_fingerprint(session.solve()) == cold_fp(session)
 
     def test_edit_stream_matches_cold(self):
         """Every edit kind, interleaved, solved after each step."""
@@ -67,18 +67,18 @@ class TestByteIdentity:
         ]
         for edit in steps:
             session.apply(edit)
-            got = _eco_result_fp(session.solve())
+            got = result_fingerprint(session.solve())
             assert got == cold_fp(session), f"diverged after {edit!r}"
 
     def test_inverse_edit_restores_result(self):
         session = fresh_session()
-        base = _eco_result_fp(session.solve())
+        base = result_fingerprint(session.solve())
         ff = session.netlist.scan_flip_flops()[0]
         x0, y0 = ff.x, ff.y
         session.apply(MoveFf(ff.name, x0 + 12.0, y0 + 7.0))
         session.solve()
         session.apply(MoveFf(ff.name, x0, y0))
-        assert _eco_result_fp(session.solve()) == base
+        assert result_fingerprint(session.solve()) == base
 
     def test_batched_edits_single_solve(self):
         """Several queued edits collapse into one consistent solve."""
@@ -88,7 +88,7 @@ class TestByteIdentity:
         for i, ff in enumerate(session.netlist.scan_flip_flops()[:2]):
             session.apply(MoveFf(ff.name, ff.x + 2.0 * (i + 1), ff.y))
         session.apply(SetThreshold(d_th_um=span * 0.6))
-        assert _eco_result_fp(session.solve()) == cold_fp(session)
+        assert result_fingerprint(session.solve()) == cold_fp(session)
 
 
 class TestFallback:
@@ -130,7 +130,7 @@ class TestFallback:
         session.solve()
         ff = session.netlist.scan_flip_flops()[0]
         session.apply(MoveFf(ff.name, ff.x + 3.0, ff.y))
-        assert _eco_result_fp(session.solve()) == cold_fp(session)
+        assert result_fingerprint(session.solve()) == cold_fp(session)
 
 
 class TestTelemetry:
@@ -145,15 +145,14 @@ class TestTelemetry:
 
     def test_graph_replay_counter(self):
         """A pure-move edit replays cached sharing graphs instead of
-        rebuilding them (structural estimator mode only)."""
+        rebuilding them."""
         session = fresh_session()
         session.solve()
         ff = session.netlist.scan_flip_flops()[0]
         session.apply(MoveFf(ff.name, ff.x + 0.5, ff.y))
         with trace.collect() as collected:
             session.solve()
-        if session.config.estimator_mode == "structural" \
-                and session.last_fallback in (None, "restitch"):
+        if session.last_fallback in (None, "restitch"):
             assert collected.metrics.counters.get(
                 "session.graph_replays", 0) >= 1
 

@@ -3,18 +3,19 @@
 import pytest
 
 from repro.core.config import Scenario, WcmConfig
+from repro.core.flow import run_wcm_flow
 from repro.core.testability import (
     OverlapEstimate,
     OverlapTestabilityEstimator,
     build_ideal_wrapped_view,
 )
 from repro.netlist.core import PortKind
+from repro.runtime import trace
 
 
 @pytest.fixture(scope="module")
 def estimator(medium_problem):
-    config = WcmConfig.ours(Scenario.area_optimized(),
-                            estimator_mode="faultsim")
+    config = WcmConfig.ours(Scenario.area_optimized())
     return OverlapTestabilityEstimator(medium_problem, config), \
         medium_problem
 
@@ -67,28 +68,27 @@ class TestEstimates:
             assert swapped is first
 
     def test_structural_mode_scales_with_overlap(self, medium_problem):
-        config = WcmConfig.ours(Scenario.area_optimized(),
-                                estimator_mode="structural")
+        config = WcmConfig.ours(Scenario.area_optimized())
         est = OverlapTestabilityEstimator(medium_problem, config)
         small = est._structural_estimate(frozenset({"g1"}))
         big = est._structural_estimate(frozenset(f"g{i}" for i in range(40)))
         assert big.coverage_drop > small.coverage_drop
         assert big.extra_patterns >= small.extra_patterns
 
-    def test_budget_falls_back_to_structural(self, medium_problem):
-        config = WcmConfig.ours(Scenario.area_optimized(),
-                                estimator_mode="faultsim",
-                                estimator_budget=0)
-        est = OverlapTestabilityEstimator(medium_problem, config)
-        pairs = overlapped_pairs(medium_problem, PortKind.TSV_INBOUND,
-                                 limit=1)
-        a, b, region = pairs[0]
-        result = est.estimate(a, b, PortKind.TSV_INBOUND, region)
-        assert result.mode == "structural"
-
     def test_within_threshold_logic(self):
-        estimate = OverlapEstimate(coverage_drop=0.004, extra_patterns=9,
-                                   mode="structural")
+        estimate = OverlapEstimate(coverage_drop=0.004, extra_patterns=9)
         assert estimate.within(0.005, 10)
         assert not estimate.within(0.003, 10)
         assert not estimate.within(0.005, 9)
+
+
+class TestFlowCost:
+    def test_ours_flow_runs_no_simulation(self, small_problem):
+        """The overlap check is structural: an ours flow estimates its
+        overlapped pairs without simulating a single pattern block."""
+        with trace.collect() as collected:
+            run_wcm_flow(small_problem,
+                         WcmConfig.ours(Scenario.area_optimized()))
+        metrics = collected.metrics
+        assert metrics.histograms["graph.coverage_drop"].count > 0
+        assert "sim.tape_blocks" not in metrics.counters
