@@ -1,11 +1,12 @@
 """Trimmed scaling-law bench: the CI-tracked slice of ``repro scale``.
 
 Benches the phases of the scaling sweep on two families at the
-10^3-10^4-gate decades (generation, packed simulation, and the full WCM
-flow at the low end), exporting ``BENCH_scaling.json`` through the
-session-finish hook so ``repro bench gate`` tracks regressions. Each
-entry carries the instance's content fingerprint as extra info — the
-gate ignores it, the ``scaling-smoke`` CI job pins it across runs.
+10^3-10^4-gate decades (generation, packed simulation, both sharing
+graphs at the high end and the full WCM flow at the low end), exporting
+``BENCH_scaling.json`` through the session-finish hook so ``repro bench
+gate`` tracks regressions. Each entry carries the instance's content
+fingerprint as extra info — the gate ignores it, the ``scaling-smoke``
+CI job pins it across runs.
 
 The full sweep (10^3-10^6 gates, all families, TSV-density knobs) runs
 via ``repro scale``; see DESIGN.md §14.
@@ -18,10 +19,15 @@ from repro.bench.families import (FamilySpec, generate_family_die,
                                   netlist_fingerprint)
 from repro.core.config import Scenario, WcmConfig
 from repro.core.flow import run_wcm_flow
+from repro.core.graph import build_wcm_graph
 from repro.core.problem import build_problem, tight_clock_for
+from repro.core.testability import OverlapTestabilityEstimator
+from repro.core.timing_model import ReuseTimingModel
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
+from repro.netlist.core import PortKind
 from repro.place.placer import place_die
+from repro.util.fingerprint import fingerprint
 from repro.util.rng import DeterministicRng
 
 SEED = 2019
@@ -34,6 +40,18 @@ _MASK = (1 << _WIDTH) - 1
 def _die(family, gates):
     return generate_family_die(family, FamilySpec.from_density(gates),
                                seed=SEED)
+
+
+def _tight_problem(family, gates):
+    """The die placed, stitched and timed, with its ours/tight config."""
+    netlist = _die(family, gates)
+    place_die(netlist)
+    stitch_scan_chains(netlist)
+    problem = build_problem(netlist, already_prepared=True)
+    problem = problem.retime(tight_clock_for(problem))
+    config = WcmConfig.ours(Scenario.performance_optimized(
+        problem.timing.constraint.period_ps))
+    return problem, config
 
 
 @pytest.mark.parametrize("family,gates", CELLS,
@@ -57,15 +75,30 @@ def test_scaling_sim(benchmark, family, gates):
 
 
 @pytest.mark.parametrize("family", ["grid", "htree"])
+def test_scaling_graph(benchmark, family):
+    """Both sharing graphs at the 10^4 decade, ours/tight, each with a
+    fresh timing model and estimator per round, as ``repro scale``
+    times its graph phase."""
+    problem, config = _tight_problem(family, 10000)
+    ffs = list(problem.scan_ffs)
+
+    def graphs():
+        return {kind.name: build_wcm_graph(
+            problem, kind, ffs, config,
+            timing_model=ReuseTimingModel(problem, config),
+            estimator=OverlapTestabilityEstimator(problem))
+                for kind in (PortKind.TSV_INBOUND, PortKind.TSV_OUTBOUND)}
+
+    graph_by_kind = benchmark(graphs)
+    benchmark.extra_info["gates"] = 10000
+    benchmark.extra_info["fingerprint"] = fingerprint(
+        {name: graph.stats for name, graph in graph_by_kind.items()})
+
+
+@pytest.mark.parametrize("family", ["grid", "htree"])
 def test_scaling_flow(benchmark, family):
     """Full WCM flow at the 10^3 decade only — the flow-capped end."""
-    netlist = _die(family, 1000)
-    place_die(netlist)
-    stitch_scan_chains(netlist)
-    problem = build_problem(netlist, already_prepared=True)
-    problem = problem.retime(tight_clock_for(problem))
-    config = WcmConfig.ours(Scenario.performance_optimized(
-        problem.timing.constraint.period_ps))
+    problem, config = _tight_problem(family, 1000)
     result = benchmark(run_wcm_flow, problem, config)
     from repro.core.session import result_fingerprint
 

@@ -314,7 +314,7 @@ def run_scaling(families: Sequence[str],
                 def fresh_estimator():
                     if not config.allow_overlap:
                         return None
-                    return OverlapTestabilityEstimator(problem, config)
+                    return OverlapTestabilityEstimator(problem)
 
                 def graphs():
                     return {kind.name: build_wcm_graph(

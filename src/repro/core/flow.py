@@ -273,7 +273,7 @@ class FlowHooks:
 
     def make_estimator(self, problem: WcmProblem, config: WcmConfig
                        ) -> Optional[OverlapTestabilityEstimator]:
-        return (OverlapTestabilityEstimator(problem, config)
+        return (OverlapTestabilityEstimator(problem)
                 if config.allow_overlap else None)
 
     def build_graph(self, problem: WcmProblem, kind: PortKind,

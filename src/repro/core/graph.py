@@ -9,11 +9,16 @@ Edges (at least one endpoint a TSV, never FF–FF):
 
 1. ``distance(n1, n2) < d_th`` (ours only — [4] has no distance limit),
 2. the method's timing model admits the pair,
-3. cones non-overlapped — tested with per-node cone *bitsets*, so the
-   O(n²) pair sweep costs one big-int AND per pair — or, when
-   overlapped and ``allow_overlap`` is set, the structural testability
-   estimate (:mod:`repro.core.testability`) stays within
+3. cones non-overlapped — tested with per-node cone *bitsets* — or,
+   when overlapped and ``allow_overlap`` is set, the structural
+   testability estimate (:mod:`repro.core.testability`) stays within
    ``cov_th``/``p_th``.
+
+What a pair's checks read about one node (location, cone bitset, the
+timing model's per-node terms) is computed once per node, so a pair of
+the O(n²) sweep costs its Manhattan distance, a few float operations
+and one big-int AND; only an overlapped FF–TSV pair also intersects the
+two cones for its estimate.
 
 The returned :class:`WcmGraph` carries rejection statistics for the
 Fig. 7 edge-count analysis.
@@ -180,7 +185,7 @@ def pair_outcome(problem: WcmProblem, config: WcmConfig,
             outcome = _REJ_OVERLAP
         else:
             overlap = problem.cones.overlap(name_a, name_b, kind)
-            outcome = estimator.estimate(name_a, name_b, kind, overlap)
+            outcome = estimator.estimate(overlap)
         if key is not None:
             edge_memo[key] = outcome
     return outcome

@@ -544,10 +544,10 @@ class WcmSession:
             return None
         # Estimates depend only on cone overlaps and the fault
         # universe — netlist structure, not positions, timing or
-        # thresholds — so one instance (with its per-pair cache)
+        # thresholds — so one instance (its universe counted once)
         # serves every scoped solve; dropped on structural edits.
         if self._estimator is None:
-            self._estimator = OverlapTestabilityEstimator(problem, config)
+            self._estimator = OverlapTestabilityEstimator(problem)
         return self._estimator
 
     def _build_graph(self, problem: WcmProblem, kind: PortKind,

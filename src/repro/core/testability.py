@@ -15,19 +15,18 @@ estimate is structural and calibrated on the die itself:
 * the pattern increase is one deterministic pattern per ten overlap
   objects.
 
-The universe is counted once per die, on first use. After that a
-pair's estimate depends only on the size of its overlap; it is cached
-per pair, but the caller has already intersected the two cones by then.
+The universe is counted once per die, on first use. After that an
+estimate is a pure function of the overlap's size, so nothing is cached
+per pair: the caller has already intersected the two cones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.atpg.faults import build_fault_list
-from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
 from repro.dft.testview import TestView
 from repro.netlist.core import Netlist, PortKind
@@ -70,12 +69,10 @@ def build_ideal_wrapped_view(netlist: Netlist) -> TestView:
 
 
 class OverlapTestabilityEstimator:
-    """Per-die cache of sharing-impact estimates."""
+    """Sharing-impact estimates for one die."""
 
-    def __init__(self, problem: WcmProblem, config: WcmConfig) -> None:
+    def __init__(self, problem: WcmProblem) -> None:
         self.problem = problem
-        self.config = config
-        self._cache: Dict[Tuple[str, str, PortKind], OverlapEstimate] = {}
         self._universe: Optional[int] = None
 
     def _universe_size(self) -> int:
@@ -87,20 +84,11 @@ class OverlapTestabilityEstimator:
                 1, build_fault_list(view, include_branches=True).total)
         return self._universe
 
-    def estimate(self, name_a: str, name_b: str, kind: PortKind,
-                 overlap: FrozenSet[str]) -> OverlapEstimate:
-        """Impact of letting *name_a* and *name_b* share, given their
-        cone *overlap* (non-empty)."""
-        key = (min(name_a, name_b), max(name_a, name_b), kind)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = self._structural_estimate(overlap)
-        return cached
-
-    def _structural_estimate(self, overlap: FrozenSet[str]) -> OverlapEstimate:
-        """Scale the overlap size against the universe: half of the
-        overlap's stem faults (both polarities) are counted as lost and
-        one overlap object in ten needs a deterministic pattern."""
+    def estimate(self, overlap: FrozenSet[str]) -> OverlapEstimate:
+        """Impact of letting two nodes share, given their non-empty cone
+        *overlap*: half of the overlap's stem faults (both polarities)
+        are counted as lost and one overlap object in ten needs a
+        deterministic pattern."""
         at_risk = len(overlap)
         drop = 0.5 * (2.0 * at_risk) / self._universe_size()
         extra = math.ceil(0.1 * at_risk)

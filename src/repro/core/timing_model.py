@@ -21,13 +21,35 @@ and its solutions fail sign-off STA (Table III's 20/24 violations).
 A scan FF may serve several groups ("reused multiple times"); the
 :class:`FfReuseLedger` accumulates each FF's extra Q load and enforces
 at most one outbound chain per FF. See DESIGN.md §4.
+
+Algorithm 1 asks the model about every candidate pair, but most of what
+a pair check reads depends on one node only. The model therefore keeps
+per-node caches, each filled on first use:
+
+* ``_tsv_states``: every TSV's initial :class:`CliqueTimingState`,
+  keyed by ``(name, kind)``; :meth:`ReuseTimingModel.initial_state`
+  returns these shared (frozen) objects to the pair checks,
+  :func:`~repro.core.clique.partition_cliques` and FF adoption alike;
+* ``_inbound_ff`` / ``_outbound_ff``: each FF's inbound launch term
+  (Q arrival plus the slowdown of one more buffer pin) and outbound
+  D-source term, or ``None`` when the FF's own slack rejects it;
+* ``_share_arrival``: each outbound TSV's functional arrival, read by
+  the TSV–TSV share check.
+
+Library constants are read once, in ``__init__``, so a pair check
+costs its hop distance and a few float operations. Each cached term is
+a left prefix of the per-pair formula it replaces, so every float sum
+keeps its evaluation order and every decision is bit-identical. The
+caches are never invalidated: a cold flow builds one model per flow and
+an ECO session one per solve, after the solve's baseline refresh, and
+the problem's positions and timing do not change while a model lives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
@@ -40,10 +62,25 @@ INF = math.inf
 #: safety margin (ps) kept between a predicted path and its requirement
 PREDICTION_MARGIN_PS = 4.0
 
+#: absent-key marker for the FF term caches, whose values may be None
+_MISSING = object()
 
-@dataclass
+#: the TSV kinds, bound once: an enum member lookup costs more than the
+#: float work of a pair check
+_INBOUND = PortKind.TSV_INBOUND
+_OUTBOUND = PortKind.TSV_OUTBOUND
+
+
+def _no_wire(length_um: float, load_ff: float = 0.0) -> float:
+    """The wire terms of a model without wires."""
+    return 0.0
+
+
+@dataclass(frozen=True)
 class CliqueTimingState:
-    """Incrementally maintained timing/load state of one clique."""
+    """Timing/load state of one clique. Frozen: initial TSV states are
+    shared between the pair checks, the clique cover and adoption, and
+    a merge builds a new state."""
 
     kind: PortKind
     members: Tuple[str, ...]
@@ -96,10 +133,34 @@ class ReuseTimingModel:
         # show both methods nearly identical, which only holds when the
         # area run is genuinely unconstrained.
         self._use_wire = config.use_wire_delay and config.scenario.is_timed
+        #: the wire terms, ``_wire_cap(length)`` and
+        #: ``_wire_delay(length, load)``: the wire model's, or zero
+        self._wire_cap = (self._wire.wire_cap_ff if self._use_wire
+                          else _no_wire)
+        self._wire_delay = (self._wire.wire_delay_ps if self._use_wire
+                            else _no_wire)
         period = config.scenario.clock.period_ps
         self._ff_required = (period - config.scenario.clock.setup_ps
                              if period is not None else INF)
         self._timed = config.scenario.is_timed
+        self._s_th_margin = config.scenario.s_th_ps + PREDICTION_MARGIN_PS
+        # Library constants of the wrapper cells, read once.
+        self._mux_b_cap = self._mux.input_cap("B")
+        self._two_mux_b_cap = 2 * self._mux_b_cap
+        self._buf_pin_cap = self._buf.input_cap("A")
+        self._xor_b_cap = self._xor.input_cap("B")
+        xor_a_cap = self._xor.input_cap("A")
+        sdff_d_cap = self._sdff.input_cap("D")
+        self._xor_delay_ps = self._xor.delay_ps(xor_a_cap)
+        self._two_xor_delay_ps = 2 * self._xor_delay_ps
+        #: the test mux in front of a capturing FF's D pin
+        self._capture_mux_ps = self._mux.delay_ps(sdff_d_cap)
+        #: a dedicated cell's clock-to-Q into its group buffer
+        self._dedicated_launch_ps = self._sdff.delay_ps(self._buf_pin_cap)
+        #: re-pinning D onto the XOR/mux pair changes its net's load by
+        #: (xor.A + mux.A - ff.D) and slows its driver
+        self._d_repin_cap = max(xor_a_cap + self._mux.input_cap("A")
+                                - sdff_d_cap, 0.0)
         # Memoized lookups over immutable problem state. The pair sweep
         # asks for the same locations / nets / resistances thousands of
         # times; each cache returns exactly the value the uncached code
@@ -109,7 +170,11 @@ class ReuseTimingModel:
         self._resistance_cache: Dict[str, float] = {}
         self._mux_b_required_cache: Dict[str, float] = {}
         self._load_cache: Dict[str, float] = {}
-        self._mux_b_cap = self._mux.input_cap("B")
+        # Per-node pair terms (see the module docstring).
+        self._tsv_states: Dict[Tuple[str, PortKind], CliqueTimingState] = {}
+        self._inbound_ff: Dict[str, Optional[float]] = {}
+        self._outbound_ff: Dict[str, Optional[float]] = {}
+        self._share_arrival: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Geometry / electrical primitives
@@ -121,19 +186,18 @@ class ReuseTimingModel:
         return loc
 
     def distance_um(self, name_a: str, name_b: str) -> float:
-        ax, ay = self._location(name_a)
-        bx, by = self._location(name_b)
+        try:  # the sweep's hot path: both locations already cached
+            ax, ay = self._location_cache[name_a]
+            bx, by = self._location_cache[name_b]
+        except KeyError:
+            ax, ay = self._location(name_a)
+            bx, by = self._location(name_b)
         return abs(ax - bx) + abs(ay - by)
 
-    def _wire_cap(self, length_um: float) -> float:
-        if not self._use_wire:
-            return 0.0
-        return self._wire.wire_cap_ff(length_um)
-
-    def _wire_delay(self, length_um: float, load_ff: float) -> float:
-        if not self._use_wire:
-            return 0.0
-        return self._wire.wire_delay_ps(length_um, load_ff)
+    def _hop(self, ff_name: str, anchor: Tuple[float, float]) -> float:
+        """Distance from an adopting FF to a clique's anchor (um)."""
+        fx, fy = self._location(ff_name)
+        return abs(fx - anchor[0]) + abs(fy - anchor[1])
 
     def _tsv_net(self, tsv_name: str) -> str:
         net = self._tsv_net_cache.get(tsv_name)
@@ -143,16 +207,6 @@ class ReuseTimingModel:
                 raise ConfigError(f"TSV {tsv_name} unconnected")
             self._tsv_net_cache[tsv_name] = net
         return net
-
-    @property
-    def buf_pin_cap(self) -> float:
-        return self._buf.input_cap("A")
-
-    def _mux_delay(self, load_ff: float) -> float:
-        return self._mux.delay_ps(load_ff)
-
-    def _xor_delay(self) -> float:
-        return self._xor.delay_ps(self._xor.input_cap("A"))
 
     # ------------------------------------------------------------------
     # Loads (the quantity compared against cap_th)
@@ -222,7 +276,7 @@ class ReuseTimingModel:
         required = self.test_timing.required_ps.get(mux_out, INF)
         if required is INF:
             return INF
-        return required - self._mux_delay(
+        return required - self._mux.delay_ps(
             self.test_timing.load_of_net(mux_out))
 
     # ------------------------------------------------------------------
@@ -243,10 +297,12 @@ class ReuseTimingModel:
         """Can *ff_name* (via its group buffer) drive *tsv_name*'s mux?"""
         if not self._timed:
             return True
-        state = self.initial_state(tsv_name, PortKind.TSV_INBOUND,
-                                   is_ff=False)
-        ledger = FfReuseLedger(self)
-        return ledger.inbound_adoption_feasible(ff_name, state)
+        launch = self._inbound_ff.get(ff_name, _MISSING)
+        if launch is _MISSING:
+            launch = self._inbound_ff[ff_name] = \
+                self._inbound_launch(ff_name, 0.0)
+        state = self.initial_state(tsv_name, _INBOUND, False)
+        return self._inbound_reuse_ok(ff_name, launch, state)
 
     def inbound_share_feasible(self, tsv_a: str, tsv_b: str) -> bool:
         """Can two inbound TSVs hang off one group buffer?"""
@@ -255,40 +311,48 @@ class ReuseTimingModel:
             return True
         coupling = self._wire_cap(self.distance_um(tsv_a, tsv_b))
         total = (self.model_load_ff(tsv_a) + self.model_load_ff(tsv_b)
-                 + 2 * self._mux.input_cap("B") + coupling)
+                 + self._two_mux_b_cap + coupling)
         return total < cap_th
 
     def outbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
         """Can *ff_name* observe *tsv_name* through an XOR tap?"""
         if not self._timed:
             return True
-        state = self.initial_state(tsv_name, PortKind.TSV_OUTBOUND,
-                                   is_ff=False)
-        ledger = FfReuseLedger(self)
-        return ledger.outbound_adoption_feasible(ff_name, state)
+        d_source = self._outbound_ff.get(ff_name, _MISSING)
+        if d_source is _MISSING:
+            d_source = self._outbound_ff[ff_name] = \
+                self._outbound_d_source(ff_name)
+        state = self.initial_state(tsv_name, _OUTBOUND, False)
+        return self._outbound_reuse_ok(ff_name, d_source, state)
 
     def outbound_share_feasible(self, tsv_a: str, tsv_b: str) -> bool:
         """Can two outbound TSVs share one observation chain?"""
         if not self._timed:
             return True
-        dist = self.distance_um(tsv_a, tsv_b)
-        worst = 0.0
-        for tsv in (tsv_a, tsv_b):
-            net = self._tsv_net(tsv)
-            arrival = (self.timing.arrival_ps.get(net, 0.0)
-                       + self._wire_delay(dist, self._xor.input_cap("B"))
-                       + 2 * self._xor_delay()
-                       + self._mux_delay(self._sdff.input_cap("D")))
-            worst = max(worst, arrival)
-        slack = self._ff_required - worst
-        return slack > self.config.scenario.s_th_ps + PREDICTION_MARGIN_PS
+        wire = self._wire_delay(self.distance_um(tsv_a, tsv_b),
+                                self._xor_b_cap)
+        arrival = self._share_arrival_ps
+        worst = max(0.0,
+                    arrival(tsv_a) + wire + self._two_xor_delay_ps
+                    + self._capture_mux_ps,
+                    arrival(tsv_b) + wire + self._two_xor_delay_ps
+                    + self._capture_mux_ps)
+        return self._ff_required - worst > self._s_th_margin
+
+    def _share_arrival_ps(self, tsv_name: str) -> float:
+        """Functional arrival at an outbound TSV's net."""
+        arrival = self._share_arrival.get(tsv_name)
+        if arrival is None:
+            arrival = self._share_arrival[tsv_name] = \
+                self.timing.arrival_ps.get(self._tsv_net(tsv_name), 0.0)
+        return arrival
 
     def pair_feasible(self, name_a: str, name_b: str, kind: PortKind,
                       a_is_ff: bool, b_is_ff: bool) -> bool:
         """Edge-level timing feasibility for Algorithm 1."""
         if a_is_ff and b_is_ff:
             return False  # FF-FF edges never exist
-        if kind is PortKind.TSV_INBOUND:
+        if kind is _INBOUND:
             if a_is_ff:
                 return self.inbound_reuse_feasible(name_a, name_b)
             if b_is_ff:
@@ -301,34 +365,116 @@ class ReuseTimingModel:
         return self.outbound_share_feasible(name_a, name_b)
 
     # ------------------------------------------------------------------
+    # FF reuse terms and checks, shared by the pair checks (FF terms
+    # cached per model) and FfReuseLedger (terms under its budget)
+    # ------------------------------------------------------------------
+    def _inbound_launch(self, ff_name: str, extra_q_cap: float
+                        ) -> Optional[float]:
+        """The FF side of an inbound reuse path: Q arrival plus the Q
+        slowdown once the FF drives *extra_q_cap* and one more group
+        buffer pin; None when that slowdown does not fit the Q slack."""
+        ff = self.problem.netlist.instance(ff_name)
+        q_net = ff.output_net()
+        delta_delay = ff.cell.drive_resistance * (extra_q_cap
+                                                  + self._buf_pin_cap)
+        if self.timing.slack_of_net(q_net) \
+                < delta_delay + PREDICTION_MARGIN_PS:
+            return None
+        return self.timing.arrival_ps.get(q_net, 0.0) + delta_delay
+
+    def _inbound_reuse_ok(self, ff_name: str, launch: Optional[float],
+                          state: CliqueTimingState) -> bool:
+        """Can the FF, with inbound *launch* term, drive *state*'s group
+        buffer from its own site?"""
+        if launch is None:
+            return False
+        if state.min_required_ps is INF:
+            return True
+        hop = self._hop(ff_name, state.anchor)
+        cap = state.cap_ff + self._wire_cap(hop)
+        if cap >= self.config.scenario.cap_th_ff:
+            return False
+        path = (launch + self._buf.delay_ps(cap)
+                + self._wire_delay(state.max_span_um + hop,
+                                   self._mux_b_cap))
+        return path + PREDICTION_MARGIN_PS <= state.min_required_ps
+
+    def _outbound_d_source(self, ff_name: str) -> Optional[float]:
+        """The FF's D side of its XOR chain: the D net's test-mode
+        arrival plus its re-pinning slowdown; None when the FF has no D
+        net or the extra mux stage and slowdown do not fit D's slack."""
+        d_net = self.problem.netlist.instance(ff_name).connections.get("D")
+        if d_net is None:
+            return None
+        d_slow = self._driver_resistance(d_net) * self._d_repin_cap
+        d_slack = min(self.timing.slack_of_net(d_net),
+                      self.test_timing.slack_of_net(d_net))
+        if d_slack < self._capture_mux_ps + d_slow + PREDICTION_MARGIN_PS:
+            return None
+        return self.test_timing.arrival_ps.get(d_net, 0.0) + d_slow
+
+    def _outbound_reuse_ok(self, ff_name: str, d_source: Optional[float],
+                           state: CliqueTimingState) -> bool:
+        """Can the FF, with outbound *d_source* term, capture *state*'s
+        chain from its own site? (The adopting FF's probe carries no
+        member-slack bound.)"""
+        if d_source is None:
+            return False
+        span = state.max_span_um + self._hop(ff_name, state.anchor)
+        return self._capture_ok(state, span, d_source, INF)
+
+    def _capture_ok(self, state: CliqueTimingState, span: float,
+                    d_source: float, member_slack: float) -> bool:
+        """Test-capture feasibility of an outbound chain whose farthest
+        member sits *span* um from the chain, the capturing FF's D side
+        arriving at *d_source*."""
+        tap_cap = self._xor_b_cap + self._wire_cap(span)
+        slowdown = state.worst_member_resistance * tap_cap
+        # The tap slowdown also delays the member's other fanout; it
+        # must fit inside the member's own slack.
+        if slowdown + PREDICTION_MARGIN_PS > member_slack:
+            return False
+        member_source = (state.worst_arrival_ps + slowdown
+                         + self._wire_delay(span, self._xor_b_cap))
+        capture = (max(member_source, d_source)
+                   + max(1, len(state.members)) * self._xor_delay_ps
+                   + self._capture_mux_ps)
+        return self._ff_required - capture > self._s_th_margin
+
+    # ------------------------------------------------------------------
     # Clique state (Algorithm 2's `cap` bookkeeping)
     # ------------------------------------------------------------------
     def initial_state(self, name: str, kind: PortKind, is_ff: bool
                       ) -> CliqueTimingState:
+        """A node's singleton clique state. A TSV's is built once per
+        model and shared by every caller; an FF's is built per call."""
+        if not is_ff:
+            key = (name, kind)
+            state = self._tsv_states.get(key)
+            if state is None:
+                state = self._tsv_states[key] = self._tsv_state(name, kind)
+            return state
         location = self.problem.location_of(name)
-        if is_ff:
-            netlist = self.problem.netlist
-            ff = netlist.instance(name)
-            q_net = ff.output_net()
-            d_net = ff.connections.get("D")
-            # Re-pinning D onto the XOR/mux pair changes its net's load
-            # by (xor.A + mux.A - ff.D) and slows its driver.
-            d_slow = 0.0
-            if d_net is not None:
-                delta = (self._xor.input_cap("A") + self._mux.input_cap("A")
-                         - self._sdff.input_cap("D"))
-                d_slow = self._driver_resistance(d_net) * max(delta, 0.0)
-            return CliqueTimingState(
-                kind=kind, members=(), anchor=location, has_ff=True,
-                ff_name=name,
-                ff_arrival_ps=self.timing.arrival_ps.get(q_net, 0.0),
-                ff_q_slack_ps=self.timing.slack_of_net(q_net),
-                ff_resistance=ff.cell.drive_resistance,
-                ff_d_arrival_ps=(self.test_timing.arrival_ps.get(d_net, 0.0)
-                                 if d_net else 0.0),
-                ff_d_slowdown_ps=d_slow,
-            )
-        if kind is PortKind.TSV_INBOUND:
+        ff = self.problem.netlist.instance(name)
+        q_net = ff.output_net()
+        d_net = ff.connections.get("D")
+        d_slow = 0.0
+        if d_net is not None:
+            d_slow = self._driver_resistance(d_net) * self._d_repin_cap
+        return CliqueTimingState(
+            kind=kind, members=(), anchor=location, has_ff=True,
+            ff_name=name,
+            ff_arrival_ps=self.timing.arrival_ps.get(q_net, 0.0),
+            ff_q_slack_ps=self.timing.slack_of_net(q_net),
+            ff_resistance=ff.cell.drive_resistance,
+            ff_d_arrival_ps=(self.test_timing.arrival_ps.get(d_net, 0.0)
+                             if d_net else 0.0),
+            ff_d_slowdown_ps=d_slow,
+        )
+
+    def _tsv_state(self, name: str, kind: PortKind) -> CliqueTimingState:
+        location = self.problem.location_of(name)
+        if kind is _INBOUND:
             return CliqueTimingState(
                 kind=kind, members=(name,), anchor=location, has_ff=False,
                 cap_ff=self.member_buffer_load(name),
@@ -351,19 +497,17 @@ class ReuseTimingModel:
         if not state.has_ff:
             # Dedicated cell at the anchor: its launch is the SDFF's
             # clock-to-Q; members still pay buffer + route.
-            path = (self._sdff.delay_ps(self.buf_pin_cap)
+            path = (self._dedicated_launch_ps
                     + self._buf.delay_ps(state.cap_ff)
-                    + self._wire_delay(state.max_span_um,
-                                       self._mux.input_cap("B")))
+                    + self._wire_delay(state.max_span_um, self._mux_b_cap))
             return path + PREDICTION_MARGIN_PS <= state.min_required_ps
         # The baseline STA already includes each member's test mux (the
         # dedicated-wrapper reference build), so the prediction adds
         # only what reuse changes: FF loading, buffer, route.
         path = (state.ff_arrival_ps
-                + state.ff_resistance * self.buf_pin_cap
+                + state.ff_resistance * self._buf_pin_cap
                 + self._buf.delay_ps(state.cap_ff)
-                + self._wire_delay(state.max_span_um,
-                                   self._mux.input_cap("B")))
+                + self._wire_delay(state.max_span_um, self._mux_b_cap))
         return path + PREDICTION_MARGIN_PS <= state.min_required_ps
 
     def merged_state(self, a: CliqueTimingState, b: CliqueTimingState
@@ -401,7 +545,7 @@ class ReuseTimingModel:
             max_span_um=max_span,
         )
 
-        if a.kind is PortKind.TSV_INBOUND:
+        if a.kind is _INBOUND:
             cap = a.cap_ff + b.cap_ff + self._wire_cap(span)
             if cap >= self.config.scenario.cap_th_ff:
                 return None
@@ -421,39 +565,20 @@ class ReuseTimingModel:
         # driver-slowdown terms are computed from the span when checked.
         worst_raw = max(a.worst_arrival_ps, b.worst_arrival_ps)
         state = CliqueTimingState(worst_arrival_ps=worst_raw, **common)
-        if self._timed and not self.outbound_capture_ok(state, 0.0):
-            return None
+        if self._timed:
+            d_source = ((state.ff_d_arrival_ps + state.ff_d_slowdown_ps)
+                        if state.has_ff else 0.0)
+            if not self._capture_ok(state, state.max_span_um, d_source,
+                                    state.min_member_slack_ps):
+                return None
         return state
-
-    def outbound_capture_ok(self, state: CliqueTimingState,
-                            extra_hop_um: float) -> bool:
-        """Test-capture feasibility of an outbound group whose chain
-        sits *extra_hop_um* beyond the current anchor (0 for the state
-        as-is, the FF hop at adoption time)."""
-        if not self._timed:
-            return True
-        span = state.max_span_um + extra_hop_um
-        xor_pin = self._xor.input_cap("B")
-        tap_cap = xor_pin + self._wire_cap(span)
-        slowdown = state.worst_member_resistance * tap_cap
-        # The tap slowdown also delays the member's other fanout; it
-        # must fit inside the member's own slack.
-        if slowdown + PREDICTION_MARGIN_PS > state.min_member_slack_ps:
-            return False
-        member_source = (state.worst_arrival_ps + slowdown
-                         + self._wire_delay(span, xor_pin))
-        d_source = ((state.ff_d_arrival_ps + state.ff_d_slowdown_ps)
-                    if state.has_ff else 0.0)
-        chain_depth = max(1, len(state.members))
-        capture = (max(member_source, d_source)
-                   + chain_depth * self._xor_delay()
-                   + self._mux_delay(self._sdff.input_cap("D")))
-        slack = self._ff_required - capture
-        return slack > self.config.scenario.s_th_ps + PREDICTION_MARGIN_PS
 
 
 class FfReuseLedger:
-    """Per-FF budget accounting for multi-group reuse (DESIGN.md §4)."""
+    """Per-FF budget accounting for multi-group reuse (DESIGN.md §4).
+
+    Runs the model's reuse checks under each FF's accumulated Q load,
+    and allows each FF one outbound chain."""
 
     def __init__(self, model: ReuseTimingModel) -> None:
         self.model = model
@@ -461,39 +586,14 @@ class FfReuseLedger:
         self._outbound_used: Set[str] = set()
 
     # ------------------------------------------------------------------
-    def _ff_q_slack(self, ff_name: str) -> float:
-        netlist = self.model.problem.netlist
-        q_net = netlist.instance(ff_name).output_net()
-        return self.model.timing.slack_of_net(q_net)
-
-    def _ff_arrival(self, ff_name: str) -> float:
-        netlist = self.model.problem.netlist
-        q_net = netlist.instance(ff_name).output_net()
-        return self.model.timing.arrival_ps.get(q_net, 0.0)
-
     def inbound_adoption_feasible(self, ff_name: str,
                                   state: CliqueTimingState) -> bool:
         model = self.model
         if not model._timed:
             return True
-        netlist = model.problem.netlist
-        ff = netlist.instance(ff_name)
-        new_cap = self._extra_q_cap.get(ff_name, 0.0) + model.buf_pin_cap
-        delta_delay = ff.cell.drive_resistance * new_cap
-        if self._ff_q_slack(ff_name) < delta_delay + PREDICTION_MARGIN_PS:
-            return False
-        if state.min_required_ps is INF:
-            return True
-        fx, fy = model.problem.location_of(ff_name)
-        hop = abs(fx - state.anchor[0]) + abs(fy - state.anchor[1])
-        cap = state.cap_ff + model._wire_cap(hop)
-        if cap >= model.config.scenario.cap_th_ff:
-            return False
-        path = (self._ff_arrival(ff_name) + delta_delay
-                + model._buf.delay_ps(cap)
-                + model._wire_delay(state.max_span_um + hop,
-                                    model._mux.input_cap("B")))
-        return path + PREDICTION_MARGIN_PS <= state.min_required_ps
+        launch = model._inbound_launch(
+            ff_name, self._extra_q_cap.get(ff_name, 0.0))
+        return model._inbound_reuse_ok(ff_name, launch, state)
 
     def outbound_adoption_feasible(self, ff_name: str,
                                    state: CliqueTimingState) -> bool:
@@ -502,44 +602,19 @@ class FfReuseLedger:
             return False
         if not model._timed:
             return True
-        netlist = model.problem.netlist
-        ff = netlist.instance(ff_name)
-        d_net = ff.connections.get("D")
-        if d_net is None:
-            return False
-        mux_penalty = model._mux_delay(model._sdff.input_cap("D"))
-        delta = (model._xor.input_cap("A") + model._mux.input_cap("A")
-                 - model._sdff.input_cap("D"))
-        d_slow = model._driver_resistance(d_net) * max(delta, 0.0)
-        d_slack = min(model.timing.slack_of_net(d_net),
-                      model.test_timing.slack_of_net(d_net))
-        if d_slack < mux_penalty + d_slow + PREDICTION_MARGIN_PS:
-            return False
-        fx, fy = model.problem.location_of(ff_name)
-        hop = abs(fx - state.anchor[0]) + abs(fy - state.anchor[1])
-        delta = (model._xor.input_cap("A") + model._mux.input_cap("A")
-                 - model._sdff.input_cap("D"))
-        probe = CliqueTimingState(
-            kind=state.kind, members=state.members, anchor=state.anchor,
-            has_ff=True, worst_arrival_ps=state.worst_arrival_ps,
-            worst_member_resistance=state.worst_member_resistance,
-            max_span_um=state.max_span_um,
-            ff_d_arrival_ps=model.test_timing.arrival_ps.get(d_net, 0.0),
-            ff_d_slowdown_ps=model._driver_resistance(d_net)
-            * max(delta, 0.0),
-        )
-        return model.outbound_capture_ok(probe, hop)
+        return model._outbound_reuse_ok(
+            ff_name, model._outbound_d_source(ff_name), state)
 
     # ------------------------------------------------------------------
     def adoption_feasible(self, ff_name: str, state: CliqueTimingState
                           ) -> bool:
-        if state.kind is PortKind.TSV_INBOUND:
+        if state.kind is _INBOUND:
             return self.inbound_adoption_feasible(ff_name, state)
         return self.outbound_adoption_feasible(ff_name, state)
 
     def commit(self, ff_name: str, state: CliqueTimingState) -> None:
-        if state.kind is PortKind.TSV_INBOUND:
+        if state.kind is _INBOUND:
             self._extra_q_cap[ff_name] = (self._extra_q_cap.get(ff_name, 0.0)
-                                          + self.model.buf_pin_cap)
+                                          + self.model._buf_pin_cap)
         else:
             self._outbound_used.add(ff_name)

@@ -57,9 +57,9 @@ class Subject:
         self.view: TestView = build_prebond_test_view(self.problem.netlist)
         self.circuit = CompiledCircuit(self.view)
 
-    # Fresh collaborators per call: the model and the estimator cache
-    # answers per pair, so a shared one would hand the oracle side the
-    # kernel's answers instead of recomputing them.
+    # Fresh collaborators per call: the model caches per-node terms and
+    # the estimator its fault universe, so a shared one would hand the
+    # oracle side values the kernel side computed.
     def fresh_model(self) -> ReuseTimingModel:
         return ReuseTimingModel(self.problem, self.config)
 
@@ -68,7 +68,7 @@ class Subject:
         config = config or self.config
         if not config.allow_overlap:
             return None
-        return OverlapTestabilityEstimator(self.problem, config)
+        return OverlapTestabilityEstimator(self.problem)
 
     def kernel_graph(self, kind: PortKind) -> WcmGraph:
         return build_wcm_graph(self.problem, kind,
@@ -393,7 +393,7 @@ def check_metamorphic_isometry(subject: Subject) -> List[str]:
             moved = build_wcm_graph(
                 problem, kind, ffs, config,
                 timing_model=ReuseTimingModel(problem, config),
-                estimator=(OverlapTestabilityEstimator(problem, config)
+                estimator=(OverlapTestabilityEstimator(problem)
                            if config.allow_overlap else None))
             out += _compare_graph(f"meta[{label}][{kind.name}]",
                                   base, moved)

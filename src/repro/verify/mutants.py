@@ -180,6 +180,34 @@ def _mutant_schedule_fill_longest() -> Iterator[None]:
         chains._fill_target = original
 
 
+@contextlib.contextmanager
+def _mutant_share_first_arrival() -> Iterator[None]:
+    """The hoisted outbound share check takes its worst arrival from the
+    first TSV only: a pair whose second TSV arrives late still shares a
+    chain that misses the capture deadline."""
+    from repro.core import timing_model
+
+    model_cls = timing_model.ReuseTimingModel
+    original = model_cls.outbound_share_feasible
+
+    def first_only(self, tsv_a, tsv_b) -> bool:
+        if not self._timed:
+            return True
+        wire = self._wire_delay(self.distance_um(tsv_a, tsv_b),
+                                self._xor_b_cap)
+        arrival = self._share_arrival_ps
+        worst = max(0.0,
+                    arrival(tsv_a) + wire + self._two_xor_delay_ps
+                    + self._capture_mux_ps)
+        return self._ff_required - worst > self._s_th_margin
+
+    model_cls.outbound_share_feasible = first_only
+    try:
+        yield
+    finally:
+        model_cls.outbound_share_feasible = original
+
+
 #: name -> (description, contextmanager factory)
 MUTANTS: Dict[str, tuple] = {
     "sim-opcode-swap": ("op-tape compiles AND2 as OR2",
@@ -201,6 +229,8 @@ MUTANTS: Dict[str, tuple] = {
                               _mutant_schedule_pack_overlap),
     "schedule-fill-longest": ("designer fills the most loaded chain",
                               _mutant_schedule_fill_longest),
+    "share-first-arrival": ("outbound share check reads the first TSV's "
+                            "arrival only", _mutant_share_first_arrival),
 }
 
 

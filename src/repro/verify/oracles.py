@@ -25,8 +25,10 @@ levelized STA with reusable     path-enumeration: memoized recursion
 context (``sta/timer.py``)      over the netlist, all loads and wire
                                 delays recomputed from scratch
 grid-indexed sharing-graph      O(n^2) sweep over all pairs with
-sweep (``core/graph.py``)       frozenset cone intersection (no
-                                spatial hash, no bitsets)
+sweep (``core/graph.py``) and   frozenset cone intersection (no
+its hoisted timing checks       spatial hash, no bitsets) and every
+(``core/timing_model.py``)      timing term derived per pair (no
+                                per-node caches)
 heuristic clique partition      exact minimum clique partition by
 (``core/clique.py``)            branch-and-bound (small instances) —
                                 a lower bound on any valid partition
@@ -56,7 +58,7 @@ from repro.core.config import WcmConfig
 from repro.core.graph import GraphStats, WcmGraph, effective_d_th
 from repro.core.problem import WcmProblem
 from repro.core.testability import OverlapTestabilityEstimator
-from repro.core.timing_model import ReuseTimingModel
+from repro.core.timing_model import PREDICTION_MARGIN_PS, ReuseTimingModel
 from repro.dft.testview import TestView
 from repro.netlist.core import Instance, Netlist, PortDirection, PortKind
 from repro.netlist.library import LOGIC_FUNCTIONS
@@ -547,6 +549,110 @@ def oracle_sta(netlist: Netlist, constraint: ClockConstraint = UNCONSTRAINED,
 # ---------------------------------------------------------------------------
 # Brute-force O(n^2) sharing graph
 # ---------------------------------------------------------------------------
+def _oracle_driver_resistance(netlist: Netlist, net_name: str) -> float:
+    net = netlist.net(net_name)
+    if net.driver is None or net.driver.is_port:
+        return 0.0
+    return netlist.instance(net.driver.owner_name).cell.drive_resistance
+
+
+def oracle_pair_feasible(model: ReuseTimingModel, name_a: str, name_b: str,
+                         kind: PortKind, a_is_ff: bool) -> bool:
+    """Algorithm 1's timing check of one candidate pair (*name_b* is a
+    TSV), every term derived for this pair alone.
+
+    This is the per-pair formulation the model's hoisted checks must
+    reproduce bit for bit: an FF–TSV pair runs the FF's reuse checks
+    against the TSV's singleton state with an empty reuse budget, a
+    TSV–TSV pair the share check. It reads only the model's leaf
+    primitives (locations, loads, required times, initial states, wire
+    terms, timing results) and the library cells, never the model's
+    per-node FF and share terms or its shared reuse checks.
+    """
+    problem = model.problem
+    netlist = problem.netlist
+    scenario = model.config.scenario
+    library = netlist.library
+    mux, xor = library.get("MUX2_X1"), library.get("XOR2_X1")
+    buf, sdff = library.get("BUF_X2"), library.get("SDFF_X1")
+    period = scenario.clock.period_ps
+    ff_required = (period - scenario.clock.setup_ps
+                   if period is not None else math.inf)
+
+    if kind is PortKind.TSV_INBOUND and not a_is_ff:
+        cap_th = scenario.cap_th_ff
+        if cap_th is math.inf:
+            return True
+        coupling = model._wire_cap(model.distance_um(name_a, name_b))
+        total = (model.model_load_ff(name_a) + model.model_load_ff(name_b)
+                 + 2 * mux.input_cap("B") + coupling)
+        return total < cap_th
+    if not scenario.is_timed:
+        return True
+
+    if not a_is_ff:
+        dist = model.distance_um(name_a, name_b)
+        worst = 0.0
+        for tsv in (name_a, name_b):
+            net = netlist.port(tsv).net
+            arrival = (model.timing.arrival_ps.get(net, 0.0)
+                       + model._wire_delay(dist, xor.input_cap("B"))
+                       + 2 * xor.delay_ps(xor.input_cap("A"))
+                       + mux.delay_ps(sdff.input_cap("D")))
+            worst = max(worst, arrival)
+        slack = ff_required - worst
+        return slack > scenario.s_th_ps + PREDICTION_MARGIN_PS
+
+    state = model.initial_state(name_b, kind, is_ff=False)
+    ff = netlist.instance(name_a)
+    fx, fy = problem.location_of(name_a)
+    hop = abs(fx - state.anchor[0]) + abs(fy - state.anchor[1])
+    if kind is PortKind.TSV_INBOUND:
+        q_net = ff.output_net()
+        new_cap = 0.0 + buf.input_cap("A")
+        delta_delay = ff.cell.drive_resistance * new_cap
+        if model.timing.slack_of_net(q_net) \
+                < delta_delay + PREDICTION_MARGIN_PS:
+            return False
+        if state.min_required_ps is math.inf:
+            return True
+        cap = state.cap_ff + model._wire_cap(hop)
+        if cap >= scenario.cap_th_ff:
+            return False
+        path = (model.timing.arrival_ps.get(q_net, 0.0) + delta_delay
+                + buf.delay_ps(cap)
+                + model._wire_delay(state.max_span_um + hop,
+                                    mux.input_cap("B")))
+        return path + PREDICTION_MARGIN_PS <= state.min_required_ps
+
+    d_net = ff.connections.get("D")
+    if d_net is None:
+        return False
+    mux_penalty = mux.delay_ps(sdff.input_cap("D"))
+    delta = (xor.input_cap("A") + mux.input_cap("A")
+             - sdff.input_cap("D"))
+    d_slow = _oracle_driver_resistance(netlist, d_net) * max(delta, 0.0)
+    d_slack = min(model.timing.slack_of_net(d_net),
+                  model.test_timing.slack_of_net(d_net))
+    if d_slack < mux_penalty + d_slow + PREDICTION_MARGIN_PS:
+        return False
+    # The capture through the FF's XOR chain, one hop beyond the TSV.
+    # The adopting FF's probe state carries no member-slack bound.
+    span = state.max_span_um + hop
+    xor_pin = xor.input_cap("B")
+    tap_cap = xor_pin + model._wire_cap(span)
+    slowdown = state.worst_member_resistance * tap_cap
+    member_source = (state.worst_arrival_ps + slowdown
+                     + model._wire_delay(span, xor_pin))
+    d_source = model.test_timing.arrival_ps.get(d_net, 0.0) + d_slow
+    chain_depth = max(1, len(state.members))
+    capture = (max(member_source, d_source)
+               + chain_depth * xor.delay_ps(xor.input_cap("A"))
+               + mux.delay_ps(sdff.input_cap("D")))
+    slack = ff_required - capture
+    return slack > scenario.s_th_ps + PREDICTION_MARGIN_PS
+
+
 def oracle_build_graph(problem: WcmProblem, kind: PortKind,
                        available_ffs: Sequence[str], config: WcmConfig,
                        timing_model: Optional[ReuseTimingModel] = None,
@@ -556,10 +662,10 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
     (no spatial hash), cone overlap via frozenset intersection (no
     bitsets), distances straight from coordinates (no memo).
 
-    Shares the :class:`ReuseTimingModel` feasibility leaf with the
-    kernel — pass a *fresh* model/estimator so their per-pair caches
-    start empty and every answer is computed from this sweep's own
-    overlaps, not read back from the kernel's.
+    The timing check is :func:`oracle_pair_feasible`, the per-pair
+    formulation of the model's hoisted checks. Pass a *fresh*
+    model/estimator, so the leaf values the oracle reads are computed
+    by this sweep, not read back from the kernel's.
     """
     model = timing_model or ReuseTimingModel(problem, config)
     stats = GraphStats()
@@ -596,7 +702,7 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
             if abs(ax - bx) + abs(ay - by) >= d_th:
                 stats.rejected_distance += 1
                 return
-        if not model.pair_feasible(name_a, name_b, kind, a_is_ff, False):
+        if not oracle_pair_feasible(model, name_a, name_b, kind, a_is_ff):
             stats.rejected_timing += 1
             return
         if not (cones[name_a] & cones[name_b]):
@@ -608,7 +714,7 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
             stats.rejected_overlap += 1
             return
         overlap = problem.cones.overlap(name_a, name_b, kind)
-        estimate = estimator.estimate(name_a, name_b, kind, overlap)
+        estimate = estimator.estimate(overlap)
         if estimate.within(config.cov_th, config.p_th):
             adjacency[name_a].add(name_b)
             adjacency[name_b].add(name_a)

@@ -64,7 +64,7 @@ class TestGraphConstruction:
         area = Scenario.area_optimized()
         ours = WcmConfig.ours(area)
         model = ReuseTimingModel(medium_problem, ours)
-        estimator = OverlapTestabilityEstimator(medium_problem, ours)
+        estimator = OverlapTestabilityEstimator(medium_problem)
         expanded = build_wcm_graph(medium_problem, PortKind.TSV_INBOUND,
                                    medium_problem.scan_ffs, ours, model,
                                    estimator)

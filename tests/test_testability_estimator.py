@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import testability
 from repro.core.config import Scenario, WcmConfig
 from repro.core.flow import run_wcm_flow
 from repro.core.testability import (
@@ -15,9 +16,7 @@ from repro.runtime import trace
 
 @pytest.fixture(scope="module")
 def estimator(medium_problem):
-    config = WcmConfig.ours(Scenario.area_optimized())
-    return OverlapTestabilityEstimator(medium_problem, config), \
-        medium_problem
+    return OverlapTestabilityEstimator(medium_problem), medium_problem
 
 
 def overlapped_pairs(problem, kind, limit=6):
@@ -48,30 +47,56 @@ class TestIdealView:
 
 
 class TestEstimates:
-    def test_estimates_are_bounded_and_cached(self, estimator):
-        est, problem = estimator
-        pairs = overlapped_pairs(problem, PortKind.TSV_INBOUND)
+    def test_estimates_are_bounded_and_cached(self, medium_problem,
+                                              monkeypatch):
+        """Estimates stay in range, and the fault universe behind them
+        is counted once per estimator, on first use."""
+        counted = []
+        real = testability.build_fault_list
+
+        def counting_build_fault_list(*args, **kwargs):
+            counted.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(testability, "build_fault_list",
+                            counting_build_fault_list)
+        est = OverlapTestabilityEstimator(medium_problem)
+        assert not counted  # lazily: nothing counted before an estimate
+        pairs = overlapped_pairs(medium_problem, PortKind.TSV_INBOUND)
         assert pairs, "expected intra-cluster overlapped pairs"
-        for a, b, region in pairs:
-            result = est.estimate(a, b, PortKind.TSV_INBOUND, region)
+        for _a, _b, region in pairs:
+            result = est.estimate(region)
             assert 0.0 <= result.coverage_drop <= 1.0
             assert result.extra_patterns >= 0
-            again = est.estimate(a, b, PortKind.TSV_INBOUND, region)
-            assert again is result  # cached object
+        assert len(counted) == 1
 
     def test_cache_is_symmetric(self, estimator):
+        """A pair's estimate does not depend on which node comes first."""
         est, problem = estimator
         pairs = overlapped_pairs(problem, PortKind.TSV_OUTBOUND, limit=2)
+        assert pairs, "expected intra-cluster overlapped pairs"
         for a, b, region in pairs:
-            first = est.estimate(a, b, PortKind.TSV_OUTBOUND, region)
-            swapped = est.estimate(b, a, PortKind.TSV_OUTBOUND, region)
-            assert swapped is first
+            swapped = problem.cones.overlap(b, a, PortKind.TSV_OUTBOUND)
+            assert swapped == region
+            assert est.estimate(swapped) == est.estimate(region)
+
+    def test_estimate_is_a_pure_function_of_the_overlap(self, estimator):
+        est, problem = estimator
+        pairs = (overlapped_pairs(problem, PortKind.TSV_INBOUND)
+                 + overlapped_pairs(problem, PortKind.TSV_OUTBOUND, limit=2))
+        assert pairs, "expected intra-cluster overlapped pairs"
+        fresh = OverlapTestabilityEstimator(problem)
+        for _a, _b, region in pairs:
+            result = est.estimate(region)
+            # same overlap, same estimate: again, and from an estimator
+            # that counts its own universe
+            assert est.estimate(frozenset(region)) == result
+            assert fresh.estimate(region) == result
 
     def test_structural_mode_scales_with_overlap(self, medium_problem):
-        config = WcmConfig.ours(Scenario.area_optimized())
-        est = OverlapTestabilityEstimator(medium_problem, config)
-        small = est._structural_estimate(frozenset({"g1"}))
-        big = est._structural_estimate(frozenset(f"g{i}" for i in range(40)))
+        est = OverlapTestabilityEstimator(medium_problem)
+        small = est.estimate(frozenset({"g1"}))
+        big = est.estimate(frozenset(f"g{i}" for i in range(40)))
         assert big.coverage_drop > small.coverage_drop
         assert big.extra_patterns >= small.extra_patterns
 

@@ -1,12 +1,18 @@
 """Tests for the reuse timing models (accurate vs load-only)."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.core.config import Scenario, WcmConfig
+from repro.core.graph import build_wcm_graph
 from repro.core.timing_model import FfReuseLedger, ReuseTimingModel
 from repro.netlist.core import PortKind
+from repro.netlist.library import CellType
+from repro.verify.oracles import oracle_pair_feasible
+
+_TSV_KINDS = (PortKind.TSV_INBOUND, PortKind.TSV_OUTBOUND)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,38 @@ class TestPairFeasibility:
                 if ours.inbound_reuse_feasible(ff, tsv):
                     assert agrawal.inbound_reuse_feasible(ff, tsv)
 
+    @pytest.mark.parametrize("method", ["ours", "agrawal"])
+    def test_hoisted_checks_match_per_pair_oracle(self, medium_scenarios,
+                                                  method):
+        """Every FF-TSV and TSV-TSV pair of both kinds decides exactly
+        as the per-pair formulation does, under thresholds tight enough
+        that each of the four checks rejects some pairs and admits
+        others."""
+        _area, tight, problem = medium_scenarios
+        scenario = Scenario.performance_optimized(
+            tight.clock.period_ps, cap_th_ff=0.3 * tight.cap_th_ff,
+            s_th_ps=0.3 * tight.clock.period_ps)
+        config = getattr(WcmConfig, method)(scenario)
+        model = ReuseTimingModel(problem, config)
+        oracle_model = ReuseTimingModel(problem, config)
+        outcomes = {}
+        for kind in _TSV_KINDS:
+            tsvs = problem.tsvs_of_kind(kind)
+            pairs = [(ff, tsv, True) for ff in problem.scan_ffs
+                     for tsv in tsvs]
+            pairs += [(a, b, False) for i, a in enumerate(tsvs)
+                      for b in tsvs[i + 1:]]
+            for name_a, name_b, a_is_ff in pairs:
+                got = model.pair_feasible(name_a, name_b, kind, a_is_ff,
+                                          False)
+                assert got == oracle_pair_feasible(
+                    oracle_model, name_a, name_b, kind, a_is_ff), \
+                    (kind, name_a, name_b)
+                outcomes.setdefault((kind, a_is_ff), set()).add(got)
+        assert len(outcomes) == 4
+        for check, seen in outcomes.items():
+            assert seen == {True, False}, check
+
     def test_distance_matters_only_with_wire(self, models):
         ours, agrawal, problem = models
         ff = problem.scan_ffs[0]
@@ -83,6 +121,38 @@ class TestPairFeasibility:
         assert ours.distance_um(ff, near) < ours.distance_um(ff, far)
 
 
+class TestPerNodeCost:
+    @pytest.mark.parametrize("kind", _TSV_KINDS, ids=lambda k: k.name)
+    def test_graph_reads_per_node_terms_once(self, models, monkeypatch,
+                                             kind):
+        """A sharing graph reads library pin caps a bounded number of
+        times per node, not per pair, and builds no reuse ledger."""
+        _ours, agrawal, problem = models
+        model = ReuseTimingModel(problem, agrawal.config)
+        calls = {"input_cap": 0, "ledger": 0}
+        input_cap = CellType.input_cap
+        ledger_init = FfReuseLedger.__init__
+
+        def counted_input_cap(self, pin_name):
+            calls["input_cap"] += 1
+            return input_cap(self, pin_name)
+
+        def counted_ledger_init(self, timing_model):
+            calls["ledger"] += 1
+            ledger_init(self, timing_model)
+
+        monkeypatch.setattr(CellType, "input_cap", counted_input_cap)
+        monkeypatch.setattr(FfReuseLedger, "__init__", counted_ledger_init)
+        graph = build_wcm_graph(problem, kind, problem.scan_ffs,
+                                agrawal.config, model)
+        monkeypatch.undo()
+        pairs = (graph.stats.edges + graph.stats.rejected_timing
+                 + graph.stats.rejected_overlap)
+        assert pairs > 10 * len(graph.nodes)
+        assert calls["ledger"] == 0
+        assert calls["input_cap"] <= 3 * len(graph.nodes)
+
+
 class TestCliqueStates:
     def test_initial_state_inbound(self, models):
         ours, _agrawal, problem = models
@@ -91,6 +161,8 @@ class TestCliqueStates:
         assert state.members == (tsv,)
         assert state.cap_ff > 0
         assert not state.has_ff
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.cap_ff = 0.0  # shared between callers, so frozen
 
     def test_merge_rejects_two_ffs(self, models):
         ours, _agrawal, problem = models

@@ -150,11 +150,11 @@ def test_oracle_graph_matches_kernel(tight_small):
         kernel = build_wcm_graph(
             problem, kind, ffs, config,
             timing_model=ReuseTimingModel(problem, config),
-            estimator=OverlapTestabilityEstimator(problem, config))
+            estimator=OverlapTestabilityEstimator(problem))
         oracle = oracle_build_graph(
             problem, kind, ffs, config,
             timing_model=ReuseTimingModel(problem, config),
-            estimator=OverlapTestabilityEstimator(problem, config))
+            estimator=OverlapTestabilityEstimator(problem))
         assert not _compare_graph(kind.name, kernel, oracle)
 
 
@@ -165,7 +165,7 @@ def test_partition_valid_and_not_below_exact_minimum(tight_small):
         graph = build_wcm_graph(
             problem, kind, ffs, config,
             timing_model=ReuseTimingModel(problem, config),
-            estimator=OverlapTestabilityEstimator(problem, config))
+            estimator=OverlapTestabilityEstimator(problem))
         partition = partition_cliques(
             graph, ReuseTimingModel(problem, config))
         assert not partition_violations(graph, partition,
