@@ -6,10 +6,12 @@ Components:
   equivalence collapsing; pre-bond-untestable exclusion.
 * :mod:`repro.atpg.sim` — compiled combinational circuit over a
   :class:`~repro.dft.testview.TestView`; packed parallel-pattern
-  simulation (one Python big-int per net per block) and event-driven,
-  cone-limited faulty-machine propagation.
+  simulation (one Python big-int per net per block) and block fault
+  detection over fanout-free regions (one event-driven, cone-limited
+  propagation per stem, shared by the faults behind it).
 * :mod:`repro.atpg.podem` — PODEM deterministic test generation for
-  random-resistant faults (5-valued D-calculus).
+  random-resistant faults (two-machine 3-valued codes, one table
+  lookup per gate).
 * :mod:`repro.atpg.engine` — the ATPG flow: random-pattern phase with
   fault dropping, PODEM top-up, pattern accounting, coverage metrics.
 * :mod:`repro.atpg.transition` — two-pattern transition-fault testing

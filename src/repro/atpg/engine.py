@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atpg.faults import Fault, FaultKind, FaultList, build_fault_list
 from repro.atpg.podem import PodemGenerator
-from repro.atpg.sim import CompiledCircuit
+from repro.atpg.sim import BlockDetector, CompiledCircuit
 from repro.dft.testview import TestView
 from repro.runtime import trace
 from repro.util.errors import AtpgError, ConfigError
@@ -138,14 +138,28 @@ class _FaultDispatcher:
                     )
                 self.ops.append(("b", gate_index, positions[0], value))
 
+    def detect_many(self, circuit: CompiledCircuit, good: List[int],
+                    indices: Sequence[int], mask: int) -> List[int]:
+        """Detection words of the faults *indices* over one block, in
+        order, from one :class:`BlockDetector` they all share."""
+        detector = BlockDetector(circuit, good, mask)
+        stem, branch = detector.stem, detector.branch
+        observation = detector.observation
+        words: List[int] = []
+        for index in indices:
+            op = self.ops[index]
+            if op[0] == "s":
+                words.append(stem(op[1], op[2]))
+            elif op[0] == "o":
+                words.append(observation(op[1], op[2]))
+            else:
+                words.append(branch(op[1], op[2], op[3]))
+        return words
+
     def detect_word(self, circuit: CompiledCircuit, good: List[int],
                     index: int, mask: int) -> int:
-        op = self.ops[index]
-        if op[0] == "s":
-            return circuit.propagate_stem(good, op[1], op[2], mask)
-        if op[0] == "o":
-            return circuit.observation_diff(good, op[1], op[2], mask)
-        return circuit.propagate_branch(good, op[1], op[2], op[3], mask)
+        """Detection word of one fault (a one-fault :meth:`detect_many`)."""
+        return self.detect_many(circuit, good, (index,), mask)[0]
 
 
 def _patterns_to_words(patterns: Sequence[int], column_count: int
@@ -184,9 +198,7 @@ class AtpgEngine:
     def _detect_many(self, good: List[int], active: Sequence[int],
                      mask: int) -> List[int]:
         """Detection words for the *active* fault indices, in order."""
-        circuit, dispatcher = self.circuit, self.dispatcher
-        return [dispatcher.detect_word(circuit, good, fault_index, mask)
-                for fault_index in active]
+        return self.dispatcher.detect_many(self.circuit, good, active, mask)
 
     # ------------------------------------------------------------------
     def run(self) -> AtpgResult:
@@ -295,7 +307,10 @@ class AtpgEngine:
                             pattern |= (1 << j)
                     batch.append(pattern)
                     batch_targets.append(fault_index)
-                    status[fault_index] = _DETECTED  # verified by flush resim
+                    # Marked on PODEM's verdict (the `podem` verify check
+                    # is its oracle); the flush re-simulates only the
+                    # faults still active.
+                    status[fault_index] = _DETECTED
                     if len(batch) >= config.block_width:
                         status[fault_index] = _ACTIVE
                         flush_batch()

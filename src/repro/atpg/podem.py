@@ -1,20 +1,26 @@
-"""PODEM deterministic test generation (5-valued D-calculus).
+"""PODEM deterministic test generation over two-machine 3-valued codes.
 
 Implements the classic PODEM search: objectives are activated/backtraced
 to primary-input (scan-cell) assignments, implications run forward over
 a per-fault *slice* of the circuit (the fan-in closure of the fault's
 fan-out cone), and the search backtracks through the PI decision stack.
-Good and faulty machines are simulated together in 3-valued logic; a
-discrepancy (D/D̄) reaching an observation net is success.
+Good and faulty machines are simulated together: every net holds one
+code ``3·good + faulty`` over the 3-valued logic {0, 1, X}, so the
+nine codes carry the D-calculus values (D = 1/0 is code 3, D̄ = 0/1 is
+code 1). A discrepancy reaching an observation net is success.
 
 The slice restriction is what keeps PODEM usable from pure Python: a
 bounded-depth die has slices of a few hundred gates regardless of die
 size.
 
-Implication is incremental: persistent per-net value arrays for both
-machines, an undo trail per decision, event-driven re-evaluation of
-only the gates a primary-input change can reach, and a cached
-decision-free snapshot per slice.
+Implication is incremental: one persistent code array, an undo trail
+per decision, and event-driven re-evaluation, in gate-index order, of
+only the slice gates a change can reach. A gate costs one lookup into
+the table of its (function, arity), which maps the input codes to the
+output code and is generated from :func:`_eval3` on first use. The
+decision-free, fault-free state of the whole circuit is computed once
+per generator; each search injects its fault on top of it as undo-trail
+entries and leaves by undoing them.
 
 Every sub-result (implied values, D-frontier choice, SCOAP backtrace
 step) is a pure function of the current assignment, so each
@@ -26,6 +32,7 @@ untestable verdict on a small circuit must survive every input pattern.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -103,144 +110,62 @@ def _eval3(op_name: str, vals: Sequence[int]) -> int:
     raise AtpgError(f"no 3-valued model for {op_name}")
 
 
-# Small-int op codes for the implication loop: string dispatch is the
-# single biggest cost of `_eval3` there.
-_C_BUF, _C_INV, _C_AND, _C_NAND, _C_OR, _C_NOR = 0, 1, 2, 3, 4, 5
-_C_XOR, _C_XNOR, _C_MUX2, _C_AOI21, _C_OAI21 = 6, 7, 8, 9, 10
-
-_OP3_CODES = {
-    "buf": _C_BUF, "inv": _C_INV, "and": _C_AND, "nand": _C_NAND,
-    "or": _C_OR, "nor": _C_NOR, "xor": _C_XOR, "xnor": _C_XNOR,
-    "mux2": _C_MUX2, "aoi21": _C_AOI21, "oai21": _C_OAI21,
+#: preferred side-input value that does NOT force the gate's output,
+#: per function with a 3-valued model
+_NONCONTROLLING = {
+    "and": 1, "nand": 1, "or": 0, "nor": 0,
+    "xor": 0, "xnor": 0, "buf": 1, "inv": 1,
+    "mux2": 0, "aoi21": 0, "oai21": 1,
 }
 
+#: code of a net unknown in both machines
+_XX = 3 * X + X
+#: code -> 1 where both machines are known and differ (D or D̄)
+_DIFF = bytes(int(c in (1, 3)) for c in range(9))
+#: code -> 1 where both machines are known
+_KNOWN = bytes(int(c in (0, 1, 3, 4)) for c in range(9))
 
-def _eval3_arr(code: int, ins: Sequence[int], values: List[int]) -> int:
-    """:func:`_eval3` over a small-int op code, reading operands
-    straight from a per-net value array — the hot path allocates no
-    intermediate operand list."""
-    if code == _C_AND or code == _C_NAND:
-        out = 1
-        for n in ins:
-            v = values[n]
-            if v == 0:
-                out = 0
-                break
-            if v == 2:
-                out = 2
-        if code == _C_NAND and out != 2:
-            out = 1 - out
-        return out
-    if code == _C_OR or code == _C_NOR:
-        out = 0
-        for n in ins:
-            v = values[n]
-            if v == 1:
-                out = 1
-                break
-            if v == 2:
-                out = 2
-        if code == _C_NOR and out != 2:
-            out = 1 - out
-        return out
-    if code == _C_INV:
-        v = values[ins[0]]
-        return 2 if v == 2 else 1 - v
-    if code == _C_BUF:
-        return values[ins[0]]
-    if code == _C_XOR or code == _C_XNOR:
-        out = 0
-        for n in ins:
-            v = values[n]
-            if v == 2:
-                return 2
-            out ^= v
-        if code == _C_XNOR:
-            out = 1 - out
-        return out
-    if code == _C_MUX2:
-        s = values[ins[2]]
-        if s == 0:
-            return values[ins[0]]
-        if s == 1:
-            return values[ins[1]]
-        a, b = values[ins[0]], values[ins[1]]
-        return a if (a == b and a != 2) else 2
-    if code == _C_AOI21:
-        a1, a2, b = values[ins[0]], values[ins[1]], values[ins[2]]
-        if a1 == 0 or a2 == 0:
-            inner = 0
-        elif a1 == 2 or a2 == 2:
-            inner = 2
-        else:
-            inner = 1
-        if inner == 1 or b == 1:
-            return 0
-        if inner == 2 or b == 2:
-            return 2
-        return 1
-    # _C_OAI21
-    a1, a2, b = values[ins[0]], values[ins[1]], values[ins[2]]
-    if a1 == 1 or a2 == 1:
-        inner = 1
-    elif a1 == 2 or a2 == 2:
-        inner = 2
-    else:
-        inner = 0
-    if inner == 0 or b == 0:
-        return 1
-    if inner == 2 or b == 2:
-        return 2
-    return 0
+_TABLES: Dict[Tuple[str, int], bytes] = {}
 
 
-def _eval3_pinned(code: int, ins: Sequence[int], values: List[int],
-                  pos: int, stuck: int) -> int:
-    """:func:`_eval3_arr` with input *pos* forced to *stuck* — the
-    faulty machine's view of a branch-fault gate."""
-    vals = [values[n] for n in ins]
-    vals[pos] = stuck
-    return _eval3_arr(code, range(len(vals)), vals)
+def _table(op_name: str, arity: int) -> bytes:
+    """Two-machine truth table of *op_name* over *arity* inputs.
+
+    Entry ``Σ code_k · 9^(arity-1-k)`` holds the output code for input
+    codes ``code_0 … code_{arity-1}``: :func:`_eval3` on the good
+    values times 3, plus :func:`_eval3` on the faulty values. Built on
+    first use and kept for the process.
+    """
+    key = (op_name, arity)
+    table = _TABLES.get(key)
+    if table is None:
+        table = bytes(
+            3 * _eval3(op_name, [c // 3 for c in codes])
+            + _eval3(op_name, [c % 3 for c in codes])
+            for codes in itertools.product(range(9), repeat=arity))
+        _TABLES[key] = table
+    return table
 
 
 class _Slice:
     """Search structures of one slice: a fault's, or the fan-in
     closure of a bare justification target."""
 
-    __slots__ = ("observable", "slice_gates", "gates", "sources", "cone",
-                 "check_nets", "branch_gate", "branch_pos",
-                 "site_is_source", "base", "base_nids")
+    __slots__ = ("observable", "slice_gates", "cone", "check_nets",
+                 "branch_gate", "branch_pos", "site_is_source")
 
-    def __init__(self) -> None:
+    def __init__(self, slice_gates: List[int]) -> None:
         self.observable = False
-        self.slice_gates: List[int] = []
-        #: (gi, code, out, ins) in slice (topological) order
-        self.gates: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-        #: (net id, base value) for every slice source net
-        self.sources: List[Tuple[int, int]] = []
-        #: cone gates (gi, op_name, out, ins) in slice order, for the
-        #: D-frontier scan
-        self.cone: List[Tuple[int, str, int, Tuple[int, ...]]] = []
+        #: slice gate indices in topological order
+        self.slice_gates = slice_gates
+        #: cone gates (gi, non-controlling value, out, ins) in slice
+        #: order, for the D-frontier scan
+        self.cone: List[Tuple[int, int, int, Tuple[int, ...]]] = []
         #: observed nets the faulty machine can actually differ on
         self.check_nets: Tuple[int, ...] = ()
         self.branch_gate: Optional[int] = None
         self.branch_pos: Optional[int] = None
         self.site_is_source = False
-        #: decision-free machine state, keyed by injected polarity
-        #: (``None`` for the justification-only, fault-free machine):
-        #: (net, good, faulty) snapshots replayed instead of a full
-        #: slice re-evaluation on every search
-        self.base: Dict[Optional[int], List[Tuple[int, int, int]]] = {}
-        #: every net the base state writes (sources + gate outputs)
-        self.base_nids: List[int] = []
-
-
-#: preferred side-input value that does NOT force the gate's output
-_NONCONTROLLING = {
-    "and": 1, "nand": 1, "or": 0, "nor": 0,
-    "xor": 0, "xnor": 0, "buf": 1, "inv": 1,
-    "mux2": 0, "aoi21": 0, "oai21": 1,
-}
 
 
 @dataclass
@@ -261,24 +186,38 @@ class PodemGenerator:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self._control: Set[int] = set(circuit.input_columns)
-        #: (code, out, ins) per gate, one lookup in the propagation loop
-        self._gspec: List[Tuple[int, int, Tuple[int, ...]]] = []
+        #: (arity, table, out, ins) per gate, one lookup in the loop
+        self._spec: List[Tuple[int, bytes, int, Tuple[int, ...]]] = []
         for gate in circuit.gates:
-            code = _OP3_CODES.get(gate.op_name)
-            if code is None:
+            if gate.op_name not in _NONCONTROLLING:
                 raise AtpgError(f"no 3-valued model for {gate.op_name}")
-            self._gspec.append((code, gate.out, gate.ins))
+            arity = len(gate.ins)
+            self._spec.append((arity, _table(gate.op_name, arity),
+                               gate.out, gate.ins))
+        #: per gate, the gates driving its inputs
+        gate_of_net = circuit.gate_of_net
+        self._drivers: List[Tuple[int, ...]] = [
+            tuple(gate_of_net[nid] for nid in gate.ins
+                  if nid in gate_of_net) for gate in circuit.gates]
         self._cc0, self._cc1 = self._scoap()
+        self._orders = self._backtrace_orders()
         self._fault_slices: Dict[Tuple[str, str, str], _Slice] = {}
         self._justify_slices: Dict[int, _Slice] = {}
-        # Persistent value arrays (X between searches), the undo trail of
-        # (net, old good, old faulty), and per-gate membership flags for
-        # the active slice / fault cone.
-        self._gv_arr: List[int] = [X] * circuit.n_nets
-        self._fv_arr: List[int] = [X] * circuit.n_nets
-        self._trail: List[Tuple[int, int, int]] = []
+        # The decision-free, fault-free code of every net (restored
+        # between searches), the undo trail of (net, old code), and
+        # per-gate flags: 0 outside the active slice, 1 in it, 2 queued
+        # by the running propagation.
+        self._val: List[int] = self._fault_free_state()
+        self._trail: List[Tuple[int, int]] = []
         self._inflag = bytearray(len(circuit.gates))
-        self._conefl = bytearray(len(circuit.gates))
+        # The active search's fault: the gate whose output is
+        # re-derived (stem driver or branch gate, else -1), the faulted
+        # pin of a branch gate (-1 for a stem driver), the stuck value,
+        # and a faulted source net that stays pinned (else -1).
+        self._special = -1
+        self._pin = -1
+        self._stuck = 0
+        self._source = -1
 
     # ------------------------------------------------------------------
     def _scoap(self) -> Tuple[List[int], List[int]]:
@@ -344,65 +283,91 @@ class PodemGenerator:
             cc1[gate.out] = out1
         return cc0, cc1
 
+    def _backtrace_orders(self) -> List[Optional[Tuple[Tuple, Tuple]]]:
+        """Per gate, the SCOAP backtrace step of an and/nand/or/nor/
+        buf/inv gate for output target 0 and 1: (input order, value).
+        The step takes the first input of the order that is X.
+
+        "Any input suffices" steps order the inputs easiest first,
+        "all inputs required" steps hardest first; ties keep pin order,
+        as ``min``/``max`` over the X inputs would. Other gates: None.
+        """
+        cc0, cc1 = self._cc0, self._cc1
+
+        def order(ins: Tuple[int, ...], table: List[int],
+                  hardest: bool) -> Tuple[int, ...]:
+            sign = -1 if hardest else 1
+            return tuple(ins[k] for k in sorted(
+                range(len(ins)), key=lambda k: (sign * table[ins[k]], k)))
+
+        orders: List[Optional[Tuple[Tuple, Tuple]]] = []
+        for gate in self.circuit.gates:
+            op, ins = gate.op_name, gate.ins
+            if op in ("buf", "inv"):
+                steps = ((ins[:1], 0), (ins[:1], 1))
+            elif op in ("and", "nand"):
+                # AND output 0: any input 0; output 1: every input 1
+                steps = ((order(ins, cc0, False), 0),
+                         (order(ins, cc1, True), 1))
+            elif op in ("or", "nor"):
+                # OR output 0: every input 0; output 1: any input 1
+                steps = ((order(ins, cc0, True), 0),
+                         (order(ins, cc1, False), 1))
+            else:
+                orders.append(None)
+                continue
+            # an inverting gate swaps the steps of its two output values
+            orders.append(steps[::-1] if op in ("inv", "nand", "nor")
+                          else steps)
+        return orders
+
+    def _fault_free_state(self) -> List[int]:
+        """Decision-free, fault-free code of every net: control and
+        floating nets X, constants and X-ties (low) known, every gate
+        evaluated in topological order."""
+        circuit = self.circuit
+        val = [_XX] * circuit.n_nets
+        for nid in circuit.x_net_ids:
+            val[nid] = 0  # tied, consistent with packed simulation
+        for nid, const in circuit.constant_nets.items():
+            val[nid] = 4 * const
+        for _arity, table, out, ins in self._spec:
+            index = 0
+            for nid in ins:
+                index = index * 9 + val[nid]
+            val[out] = table[index]
+        return val
+
     # ------------------------------------------------------------------
     # Incremental implication. Two facts keep the slice-restricted
     # search exact: event-driven propagation in gate-index (topological)
     # order reproduces a full slice evaluation, and the faulty machine
     # can differ from the good one only on the fault site and the
     # fan-out cone's outputs, so the detection scan (`check_nets`) and
-    # the D-frontier scan (`cone`) are restricted to those.
+    # the D-frontier scan (`cone`) are restricted to those. Nets outside
+    # the slice keep their decision-free codes; no slice gate reads them.
     # ------------------------------------------------------------------
     def _undo_to(self, mark: int) -> None:
         trail = self._trail
         if len(trail) <= mark:
             return
-        gv, fv = self._gv_arr, self._fv_arr
-        for nid, old_g, old_f in reversed(trail[mark:]):
-            gv[nid] = old_g
-            fv[nid] = old_f
+        val = self._val
+        for nid, old in reversed(trail[mark:]):
+            val[nid] = old
         del trail[mark:]
 
     def _fanin_closure(self, seeds: List[int]) -> List[int]:
         """*seeds* plus every gate driving them, transitively, in
         topological (gate index) order."""
-        circuit = self.circuit
+        drivers = self._drivers
         closure: Set[int] = set(seeds)
         work = list(closure)
         while work:
-            for nid in circuit.gates[work.pop()].ins:
-                drv = circuit.gate_of_net.get(nid)
-                if drv is not None and drv not in closure:
+            for drv in drivers[work.pop()]:
+                if drv not in closure:
                     closure.add(drv)
                     work.append(drv)
         return sorted(closure)
-
-    def _build_structures(self, slice_gates: List[int],
-                          extra_source: int) -> _Slice:
-        """Flat gate specs of *slice_gates* and the base value of every
-        net the slice reads but does not drive."""
-        circuit = self.circuit
-        fs = _Slice()
-        fs.slice_gates = slice_gates
-        fs.gates = [(gi, *self._gspec[gi]) for gi in slice_gates]
-        outs = {entry[2] for entry in fs.gates}
-        source_nets = {nid for entry in fs.gates for nid in entry[3]
-                       if nid not in outs}
-        if extra_source not in outs:
-            source_nets.add(extra_source)
-        constants = circuit.constant_nets
-        x_nets = circuit.x_net_ids
-        for nid in sorted(source_nets):
-            const = constants.get(nid)
-            if const is not None:
-                value = const
-            elif nid in x_nets:
-                value = 0  # tied, consistent with packed simulation
-            else:
-                value = X
-            fs.sources.append((nid, value))
-        fs.base_nids = [nid for nid, _v in fs.sources]
-        fs.base_nids.extend(entry[2] for entry in fs.gates)
-        return fs
 
     def _fault_slice(self, fault: Fault) -> _Slice:
         """The fault's slice: the fan-in closure of its fan-out cone
@@ -442,10 +407,10 @@ class PodemGenerator:
         driver = circuit.gate_of_net.get(site_net)
         if driver is not None:
             seeds.append(driver)
-        fs = self._build_structures(self._fanin_closure(seeds), site_net)
+        fs = _Slice(self._fanin_closure(seeds))
         fs.observable = observable
-        fs.cone = [(gi, gates[gi].op_name, gates[gi].out, gates[gi].ins)
-                   for gi in sorted(cone_gates)]
+        fs.cone = [(gi, _NONCONTROLLING[gates[gi].op_name], gates[gi].out,
+                    gates[gi].ins) for gi in sorted(cone_gates)]
         diff_nets = {entry[2] for entry in fs.cone}
         diff_nets.add(site_net)
         fs.check_nets = tuple(sorted(diff_nets & circuit.observed))
@@ -461,148 +426,145 @@ class PodemGenerator:
         fs = self._justify_slices.get(net_id)
         if fs is None:
             driver = self.circuit.gate_of_net.get(net_id)
-            fs = self._build_structures(
-                self._fanin_closure([] if driver is None else [driver]),
-                net_id)
+            fs = _Slice(self._fanin_closure(
+                [] if driver is None else [driver]))
             self._justify_slices[net_id] = fs
         return fs
 
-    def _propagate_arr(self, net: int, branch_gate: Optional[int],
-                       branch_pos: Optional[int], stuck: int,
-                       stem_out: Optional[int]) -> None:
-        """Event-driven re-evaluation of both machines from one changed
-        source net, recording every overwrite on the undo trail.
+    def _special_code(self, gi: int, code: int) -> int:
+        """Output code of the fault's own gate, given its fault-free
+        *code*: a stem driver's faulty output is stuck; a branch gate
+        reads its faulted pin as stuck in the faulty machine."""
+        stuck = self._stuck
+        pin = self._pin
+        if pin < 0:
+            return code - code % 3 + stuck
+        _arity, table, _out, ins = self._spec[gi]
+        val = self._val
+        index = 0
+        for pos, nid in enumerate(ins):
+            c = val[nid]
+            if pos == pin:
+                c = c - c % 3 + stuck
+            index = index * 9 + c
+        return table[index]
 
-        Gates outside the fault cone read identical values in both
-        machines, so the faulty machine is re-evaluated only for
-        cone-flagged gates (and the stem driver's output is forced).
+    def _set(self, net: int, code: int) -> None:
+        """Overwrite one net's code (on the trail) and propagate."""
+        val = self._val
+        if val[net] != code:
+            self._trail.append((net, val[net]))
+            val[net] = code
+            self._propagate(net)
+
+    def _propagate(self, net: int) -> None:
+        """Event-driven re-evaluation of both machines from one changed
+        net, recording every overwrite on the undo trail.
+
+        Gates pop in ascending index order and push only their readers,
+        which come later, so a popped gate's inputs are final and it is
+        never queued again: its flag returns from 2 (queued) to 1.
         """
-        gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
-        gspec = self._gspec
+        val, trail = self._val, self._trail
+        spec = self._spec
         gate_users = self.circuit.gate_users
-        flags, conefl = self._inflag, self._conefl
+        flags = self._inflag
         heap = [gi for gi in gate_users[net] if flags[gi]]
         if not heap:
             return
-        queued = set(heap)  # ascending list == already a valid heap
-        pop, push, ev = heappop, heappush, _eval3_arr
-        queued_add, trail_append = queued.add, trail.append
+        for gi in heap:  # ascending list == already a valid heap
+            flags[gi] = 2
+        special = self._special
+        pop, push = heappop, heappush
+        trail_append = trail.append
         while heap:
             gi = pop(heap)
-            code, out, ins = gspec[gi]
-            # The four dominant op codes are evaluated inline; the rest
-            # fall through to `_eval3_arr` (identical logic either way).
-            if code == _C_AND or code == _C_NAND:
-                g_out = 1
-                for n in ins:
-                    v = gv[n]
-                    if v == 0:
-                        g_out = 0
-                        break
-                    if v == 2:
-                        g_out = 2
-                if code == _C_NAND and g_out != 2:
-                    g_out = 1 - g_out
-            elif code == _C_OR or code == _C_NOR:
-                g_out = 0
-                for n in ins:
-                    v = gv[n]
-                    if v == 1:
-                        g_out = 1
-                        break
-                    if v == 2:
-                        g_out = 2
-                if code == _C_NOR and g_out != 2:
-                    g_out = 1 - g_out
-            elif code == _C_INV:
-                v = gv[ins[0]]
-                g_out = 2 if v == 2 else 1 - v
-            elif code == _C_MUX2:
-                v = gv[ins[2]]
-                if v == 0:
-                    g_out = gv[ins[0]]
-                elif v == 1:
-                    g_out = gv[ins[1]]
-                else:
-                    a = gv[ins[0]]
-                    b = gv[ins[1]]
-                    g_out = a if (a == b and a != 2) else 2
+            flags[gi] = 1
+            arity, table, out, ins = spec[gi]
+            if arity == 2:
+                code = table[val[ins[0]] * 9 + val[ins[1]]]
+            elif arity == 1:
+                code = table[val[ins[0]]]
+            elif arity == 3:
+                code = table[(val[ins[0]] * 9 + val[ins[1]]) * 9
+                             + val[ins[2]]]
             else:
-                g_out = ev(code, ins, gv)
-            if conefl[gi]:
-                if gi == branch_gate:
-                    f_out = _eval3_pinned(code, ins, fv, branch_pos, stuck)
-                else:
-                    f_out = ev(code, ins, fv)
-            elif out == stem_out:
-                f_out = stuck
-            else:
-                f_out = g_out
-            old_g, old_f = gv[out], fv[out]
-            if g_out == old_g and f_out == old_f:
+                index = 0
+                for nid in ins:
+                    index = index * 9 + val[nid]
+                code = table[index]
+            if gi == special:
+                code = self._special_code(gi, code)
+            old = val[out]
+            if code == old:
                 continue
-            trail_append((out, old_g, old_f))
-            gv[out] = g_out
-            fv[out] = f_out
+            trail_append((out, old))
+            val[out] = code
             for dep in gate_users[out]:
-                if flags[dep] and dep not in queued:
-                    queued_add(dep)
+                if flags[dep] == 1:
+                    flags[dep] = 2
                     push(heap, dep)
 
-    def _push_arr(self, net: int, value: int,
-                  source_site: Optional[int], stuck: int,
-                  branch_gate: Optional[int], branch_pos: Optional[int],
-                  stem_out: Optional[int]) -> None:
+    def _assign(self, net: int, value: int) -> None:
         """Apply one PI assignment and propagate its consequences."""
-        gv, fv = self._gv_arr, self._fv_arr
-        self._trail.append((net, gv[net], fv[net]))
-        gv[net] = value
-        if net != source_site:  # a faulted source stays pinned in fv
-            fv[net] = value
-        self._propagate_arr(net, branch_gate, branch_pos, stuck,
-                            stem_out)
+        val = self._val
+        self._trail.append((net, val[net]))
+        # a faulted source stays pinned in the faulty machine
+        val[net] = 3 * value + (self._stuck if net == self._source
+                                else value)
+        self._propagate(net)
 
-    def _check_arr(self, fs: _Slice, site_net: int,
-                   stuck: int) -> str:
-        gv, fv = self._gv_arr, self._fv_arr
-        site_g = gv[site_net]
-        if site_g == stuck:
+    def _inject(self, fs: _Slice, site_net: int) -> None:
+        """Put the active fault on the fault-free state: trail entries
+        and their consequences over the slice."""
+        stuck = self._stuck
+        if fs.branch_gate is not None:
+            self._special, self._pin = fs.branch_gate, fs.branch_pos
+            out = self.circuit.gates[fs.branch_gate].out
+            self._set(out, self._special_code(fs.branch_gate,
+                                              self._val[out]))
+            return
+        if fs.site_is_source:
+            self._source = site_net
+        else:
+            self._special = self.circuit.gate_of_net[site_net]
+        old = self._val[site_net]
+        self._set(site_net, old - old % 3 + stuck)
+
+    def _check(self, fs: _Slice, site_net: int, stuck: int) -> str:
+        val = self._val
+        if val[site_net] // 3 == stuck:
             return "conflict"  # can never be activated under assignment
         for nid in fs.check_nets:
-            a, b = gv[nid], fv[nid]
-            if a != 2 and b != 2 and a != b:
+            if _DIFF[val[nid]]:
                 return "detected"
         return "open"
 
-    def _objective_arr(self, fs: _Slice, site_net: int, stuck: int,
-                       branch_gate: Optional[int],
-                       branch_pos: Optional[int]
-                       ) -> Optional[Tuple[int, int]]:
-        gv, fv = self._gv_arr, self._fv_arr
-        site_g = gv[site_net]
-        if site_g == 2:
+    def _objective(self, fs: _Slice, site_net: int, stuck: int
+                   ) -> Optional[Tuple[int, int]]:
+        val = self._val
+        site_g = val[site_net] // 3
+        if site_g == X:
             return (site_net, 1 - stuck)  # activate
-        for gi, op_name, out, ins in fs.cone:
-            if gv[out] != 2 and fv[out] != 2:
+        branch_gate, branch_pos = fs.branch_gate, fs.branch_pos
+        for gi, noncontrolling, out, ins in fs.cone:
+            if _KNOWN[val[out]]:
                 continue
             if gi == branch_gate:
-                has_d = site_g != 2 and site_g != stuck
+                has_d = site_g != stuck
             else:
                 has_d = False
                 for nid in ins:
-                    a = gv[nid]
-                    if a != 2:
-                        b = fv[nid]
-                        if b != 2 and a != b:
-                            has_d = True
-                            break
+                    if _DIFF[val[nid]]:
+                        has_d = True
+                        break
             if not has_d:
                 continue
             for pos, nid in enumerate(ins):
                 if gi == branch_gate and pos == branch_pos:
                     continue  # the faulted pin is not a side input
-                if gv[nid] == 2:
-                    return (nid, _NONCONTROLLING[op_name])
+                if val[nid] >= 6:  # good machine X
+                    return (nid, noncontrolling)
         return None
 
     # ------------------------------------------------------------------
@@ -616,76 +578,32 @@ class PodemGenerator:
         if fault.kind is FaultKind.OBS_BRANCH:
             # Activation is detection: justify site = ¬stuck.
             return self._justify_search(site_net, 1 - stuck, fs)
-        branch_gate = branch_pos = None
-        if fault.kind is FaultKind.BRANCH:
-            if fs.branch_gate is None:
-                return PodemOutcome("untestable", {}, 0)
-            branch_gate, branch_pos = fs.branch_gate, fs.branch_pos
-        source_site = stem_out = None
-        if branch_gate is None:
-            if fs.site_is_source:
-                source_site = site_net
-            else:
-                stem_out = site_net
+        if fault.kind is FaultKind.BRANCH and fs.branch_gate is None:
+            return PodemOutcome("untestable", {}, 0)
 
-        gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
-        flags, conefl = self._inflag, self._conefl
+        trail = self._trail
+        flags = self._inflag
         for gi in fs.slice_gates:
             flags[gi] = 1
-        for entry in fs.cone:
-            conefl[entry[0]] = 1
         assignment: Dict[int, int] = {}
         #: (net, value, flipped, trail mark before the push)
         decisions: List[Tuple[int, int, bool, int]] = []
         backtracks = 0
+        self._stuck = stuck
         try:
-            # Decision-free base state: replayed from the per-polarity
-            # snapshot, computed by full slice evaluation on first use.
-            # Base writes stay off the undo trail (reset in `finally`),
-            # so decision trail marks are relative to an empty trail.
-            snapshot = fs.base.get(stuck)
-            if snapshot is not None:
-                for nid, g, f in snapshot:
-                    gv[nid] = g
-                    fv[nid] = f
-            else:
-                for nid, value in fs.sources:
-                    gv[nid] = value
-                    fv[nid] = value
-                if source_site is not None:
-                    fv[site_net] = stuck
-                for gi, code, out, ins in fs.gates:
-                    g_out = _eval3_arr(code, ins, gv)
-                    if conefl[gi]:
-                        if gi == branch_gate:
-                            f_out = _eval3_pinned(code, ins, fv,
-                                                  branch_pos, stuck)
-                        else:
-                            f_out = _eval3_arr(code, ins, fv)
-                    elif out == stem_out:
-                        f_out = stuck
-                    else:
-                        f_out = g_out
-                    gv[out] = g_out
-                    fv[out] = f_out
-                fs.base[stuck] = [(nid, gv[nid], fv[nid])
-                                  for nid in fs.base_nids]
-
+            self._inject(fs, site_net)
             while True:
-                status = self._check_arr(fs, site_net, stuck)
+                status = self._check(fs, site_net, stuck)
                 if status == "detected":
                     return PodemOutcome("detected", dict(assignment),
                                         backtracks)
                 objective = None
                 if status != "conflict":
-                    objective = self._objective_arr(fs, site_net, stuck,
-                                                    branch_gate,
-                                                    branch_pos)
+                    objective = self._objective(fs, site_net, stuck)
                 pi_net: Optional[int] = None
                 pi_value = 0
                 if objective is not None:
-                    pi_net, pi_value = self._backtrace(
-                        objective[0], objective[1], gv)
+                    pi_net, pi_value = self._backtrace(*objective)
                 if pi_net is None:
                     # Backtrack: no objective, or no X-path to a control
                     # input from it.
@@ -701,10 +619,7 @@ class PodemGenerator:
                             decisions.append((net, 1 - value, True,
                                               len(trail)))
                             assignment[net] = 1 - value
-                            self._push_arr(net, 1 - value,
-                                           source_site, stuck,
-                                           branch_gate, branch_pos,
-                                           stem_out)
+                            self._assign(net, 1 - value)
                             break
                     else:
                         return PodemOutcome("untestable", {}, backtracks)
@@ -712,17 +627,12 @@ class PodemGenerator:
 
                 decisions.append((pi_net, pi_value, False, len(trail)))
                 assignment[pi_net] = pi_value
-                self._push_arr(pi_net, pi_value, source_site, stuck,
-                               branch_gate, branch_pos, stem_out)
+                self._assign(pi_net, pi_value)
         finally:
             self._undo_to(0)
-            for nid in fs.base_nids:
-                gv[nid] = X
-                fv[nid] = X
+            self._special = self._pin = self._source = -1
             for gi in fs.slice_gates:
                 flags[gi] = 0
-            for entry in fs.cone:
-                conefl[entry[0]] = 0
 
     def justify(self, net_id: int, value: int) -> PodemOutcome:
         """Justification-only search: make *net_id* take *value*.
@@ -735,9 +645,9 @@ class PodemGenerator:
 
     def _justify_search(self, net_id: int, value: int,
                         fs: _Slice) -> PodemOutcome:
-        """Justify *net_id* = *value* over slice *fs* (good machine
-        only; the faulty array simply mirrors it)."""
-        gv, fv, trail = self._gv_arr, self._fv_arr, self._trail
+        """Justify *net_id* = *value* over slice *fs* (fault-free: the
+        faulty machine simply mirrors the good one)."""
+        val, trail = self._val, self._trail
         flags = self._inflag
         for gi in fs.slice_gates:
             flags[gi] = 1
@@ -745,41 +655,24 @@ class PodemGenerator:
         decisions: List[Tuple[int, int, bool, int]] = []
         backtracks = 0
         try:
-            snapshot = fs.base.get(None)
-            if snapshot is not None:
-                for nid, g, f in snapshot:
-                    gv[nid] = g
-                    fv[nid] = f
-            else:
-                for nid, source_value in fs.sources:
-                    gv[nid] = source_value
-                    fv[nid] = source_value
-                for _gi, code, out, ins in fs.gates:
-                    g_out = _eval3_arr(code, ins, gv)
-                    gv[out] = g_out
-                    fv[out] = g_out
-                fs.base[None] = [(nid, gv[nid], fv[nid])
-                                 for nid in fs.base_nids]
-
             while True:
-                current = gv[net_id]
+                current = val[net_id] // 3
                 if current == value:
                     return PodemOutcome("detected", dict(assignment),
                                         backtracks)
                 pi_net: Optional[int] = None
                 pi_value = 0
                 if current != 1 - value:  # else conflict: backtrack
-                    pi_net, pi_value = self._backtrace(net_id, value, gv)
+                    pi_net, pi_value = self._backtrace(net_id, value)
                 if pi_net is not None:
                     decisions.append((pi_net, pi_value, False,
                                       len(trail)))
                     assignment[pi_net] = pi_value
-                    self._push_arr(pi_net, pi_value, None, 0, None,
-                                   None, None)
+                    self._assign(pi_net, pi_value)
                     continue
 
                 while decisions:
-                    net, val, flipped, mark = decisions.pop()
+                    net, bit, flipped, mark = decisions.pop()
                     del assignment[net]
                     self._undo_to(mark)
                     if not flipped:
@@ -787,25 +680,21 @@ class PodemGenerator:
                         if backtracks > self.backtrack_limit:
                             return PodemOutcome("aborted", {},
                                                 backtracks)
-                        decisions.append((net, 1 - val, True,
+                        decisions.append((net, 1 - bit, True,
                                           len(trail)))
-                        assignment[net] = 1 - val
-                        self._push_arr(net, 1 - val, None, 0, None,
-                                       None, None)
+                        assignment[net] = 1 - bit
+                        self._assign(net, 1 - bit)
                         break
                 else:
                     return PodemOutcome("untestable", {}, backtracks)
         finally:
             self._undo_to(0)
-            for nid in fs.base_nids:
-                gv[nid] = X
-                fv[nid] = X
             for gi in fs.slice_gates:
                 flags[gi] = 0
 
     # ------------------------------------------------------------------
-    def _backtrace(self, net_id: int, value: int,
-                   gv: List[int]) -> Tuple[Optional[int], int]:
+    def _backtrace(self, net_id: int, value: int
+                   ) -> Tuple[Optional[int], int]:
         """Walk an X-path from the objective back to a control net.
 
         Uses SCOAP guidance: "any input suffices" objectives descend
@@ -816,6 +705,8 @@ class PodemGenerator:
         control = self._control
         gate_of_net = circuit.gate_of_net.get
         gates = circuit.gates
+        orders = self._orders
+        val = self._val
         current, target = net_id, value
         for _ in range(100000):  # cycle-free by construction
             if current in control:
@@ -823,46 +714,37 @@ class PodemGenerator:
             driver = gate_of_net(current)
             if driver is None:
                 return None, 0  # constant / X-tie: cannot justify
+            order = orders[driver]
+            if order is not None:
+                nets, want = order[target]
+                for nid in nets:
+                    if val[nid] >= 6:  # good machine X
+                        current, target = nid, want
+                        break
+                else:
+                    return None, 0
+                continue
             gate = gates[driver]
-            x_inputs = [nid for nid in gate.ins if gv[nid] == X]
+            x_inputs = [nid for nid in gate.ins if val[nid] >= 6]
             if not x_inputs:
                 return None, 0
-            step = self._backtrace_step(gate, target, x_inputs, gv)
+            step = self._backtrace_step(gate, target, x_inputs)
             if step is None:
                 return None, 0
             current, target = step
         return None, 0
 
-    def _backtrace_step(self, gate, target: int, x_inputs: List[int],
-                        gv: List[int]) -> Optional[Tuple[int, int]]:
+    def _backtrace_step(self, gate, target: int, x_inputs: List[int]
+                        ) -> Optional[Tuple[int, int]]:
+        """One backtrace step through an xor/xnor/mux2/aoi21/oai21
+        gate (the other functions use :meth:`_backtrace_orders`)."""
         cc0, cc1 = self._cc0, self._cc1
+        val = self._val
         op = gate.op_name
-
-        def easiest(value: int) -> int:
-            table = cc1 if value else cc0
-            return min(x_inputs, key=lambda n: table[n])
-
-        def hardest(value: int) -> int:
-            table = cc1 if value else cc0
-            return max(x_inputs, key=lambda n: table[n])
-
-        if op in ("buf", "inv"):
-            flip = op == "inv"
-            return (x_inputs[0], 1 - target if flip else target)
-        if op in ("and", "nand"):
-            out_all1 = target if op == "and" else 1 - target
-            if out_all1:  # need every input 1
-                return (hardest(1), 1)
-            return (easiest(0), 0)  # any input 0 suffices
-        if op in ("or", "nor"):
-            out_any1 = target if op == "or" else 1 - target
-            if out_any1:
-                return (easiest(1), 1)
-            return (hardest(0), 0)
         if op in ("xor", "xnor"):
             parity = 0
             for nid in gate.ins:
-                v = gv[nid]
+                v = val[nid] // 3
                 if v != X and nid not in x_inputs:
                     parity ^= v
             want = target if op == "xor" else 1 - target
@@ -871,7 +753,7 @@ class PodemGenerator:
             return (chosen, want ^ parity)
         if op == "mux2":
             a, b, s = gate.ins
-            a_v, b_v, s_v = gv[a], gv[b], gv[s]
+            a_v, b_v, s_v = val[a] // 3, val[b] // 3, val[s] // 3
             if s_v == 0 and a in x_inputs:
                 return (a, target)
             if s_v == 1 and b in x_inputs:
@@ -883,43 +765,40 @@ class PodemGenerator:
                 return (s, 1) if s in x_inputs else ((b, target)
                                                      if b in x_inputs else None)
             return None
-        if op in ("aoi21", "oai21"):
-            a1, a2, b = gate.ins
-            inner_and = op == "aoi21"
-            need = 1 - target  # value of the inner (pre-inversion) term
-            # aoi: out = !((a1&a2)|b); oai: out = !((a1|a2)&b)
-            if op == "aoi21":
-                if need:  # (a1&a2)|b must be 1: easiest of b=1 / a1=a2=1
-                    if b in x_inputs and (cc1[b] <= cc1[a1] + cc1[a2]
-                                          or a1 not in x_inputs
-                                          and a2 not in x_inputs):
-                        return (b, 1)
-                    for nid in (a1, a2):
-                        if nid in x_inputs:
-                            return (nid, 1)
-                    return (b, 1) if b in x_inputs else None
-                # (a1&a2)|b must be 0: b=0 and one of a1/a2 = 0
-                if b in x_inputs:
-                    return (b, 0)
-                for nid in sorted((a1, a2), key=lambda n: cc0[n]):
-                    if nid in x_inputs:
-                        return (nid, 0)
-                return None
-            # oai21: inner = (a1|a2)&b
-            if need:  # inner 1: b=1 and one of a1/a2 = 1
-                if b in x_inputs:
+        a1, a2, b = gate.ins
+        need = 1 - target  # value of the inner (pre-inversion) term
+        # aoi: out = !((a1&a2)|b); oai: out = !((a1|a2)&b)
+        if op == "aoi21":
+            if need:  # (a1&a2)|b must be 1: easiest of b=1 / a1=a2=1
+                if b in x_inputs and (cc1[b] <= cc1[a1] + cc1[a2]
+                                      or a1 not in x_inputs
+                                      and a2 not in x_inputs):
                     return (b, 1)
-                for nid in sorted((a1, a2), key=lambda n: cc1[n]):
+                for nid in (a1, a2):
                     if nid in x_inputs:
                         return (nid, 1)
-                return None
-            # inner 0: b=0 or both a1,a2 = 0
-            if b in x_inputs and (cc0[b] <= cc0[a1] + cc0[a2]
-                                  or (a1 not in x_inputs
-                                      and a2 not in x_inputs)):
+                return (b, 1) if b in x_inputs else None
+            # (a1&a2)|b must be 0: b=0 and one of a1/a2 = 0
+            if b in x_inputs:
                 return (b, 0)
-            for nid in (a1, a2):
+            for nid in sorted((a1, a2), key=lambda n: cc0[n]):
                 if nid in x_inputs:
                     return (nid, 0)
-            return (b, 0) if b in x_inputs else None
-        return (x_inputs[0], target)
+            return None
+        # oai21: inner = (a1|a2)&b
+        if need:  # inner 1: b=1 and one of a1/a2 = 1
+            if b in x_inputs:
+                return (b, 1)
+            for nid in sorted((a1, a2), key=lambda n: cc1[n]):
+                if nid in x_inputs:
+                    return (nid, 1)
+            return None
+        # inner 0: b=0 or both a1,a2 = 0
+        if b in x_inputs and (cc0[b] <= cc0[a1] + cc0[a2]
+                              or (a1 not in x_inputs
+                                  and a2 not in x_inputs)):
+            return (b, 0)
+        for nid in (a1, a2):
+            if nid in x_inputs:
+                return (nid, 0)
+        return (b, 0) if b in x_inputs else None

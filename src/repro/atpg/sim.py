@@ -16,9 +16,18 @@ expressions — no per-gate ``op()`` callable, no per-gate input-list
 allocation. Unusual arities fall back to the generic
 :data:`~repro.netlist.library.LOGIC_FUNCTIONS` callable.
 
-Faulty-machine propagation is event-driven and cone-limited: only the
-fan-out cone of the fault site is re-evaluated, in topological order,
-against the cached good-machine values — the standard PPSFP scheme.
+Fault simulation works per block, not per fault. A net read by exactly
+one gate pin and by no observation point lies in the *fanout-free
+region* (FFR) of the first net forward of it that does not: its
+*stem*. Every path from such a net to an observation point runs
+through its one reader and then through the stem, so a
+:class:`BlockDetector` scores a fault as its activation word AND the
+path sensitization to its stem (one gate evaluation per region net)
+AND the stem's flip-observability word. That last word comes from one
+event-driven, cone-limited propagation of the flipped stem against the
+good-machine values, shared by every fault behind the stem. Pattern
+bits are independent, so the product equals each fault's own
+propagation bit for bit.
 """
 
 from __future__ import annotations
@@ -174,6 +183,16 @@ class CompiledCircuit:
             for nid in gate.ins:
                 self.gate_users[nid].append(gate.index)
 
+        # Fanout-free-region links: (reader gate, pin position) for a
+        # net with exactly one gate-pin reader and no observation point,
+        # None for a stem. A gate reading one net on two pins makes that
+        # net a stem.
+        self.region_link: List[Optional[Tuple[int, int]]] = [None] * n_nets
+        for nid, users in enumerate(self.gate_users):
+            if len(users) == 1 and nid not in obs_seen:
+                self.region_link[nid] = (
+                    users[0], self.gates[users[0]].ins.index(nid))
+
         self.n_nets = n_nets
 
     # ------------------------------------------------------------------
@@ -279,25 +298,6 @@ class CompiledCircuit:
         return values
 
     # ------------------------------------------------------------------
-    def propagate_stem(self, good: List[int], net_id: int, value: int,
-                       mask: int) -> int:
-        """Detection word of a stem stuck-at fault (value 0/1)."""
-        forced = mask if value else 0
-        if forced == (good[net_id] & mask):
-            return 0  # never activated
-        return self._propagate(good, {net_id: forced}, mask)
-
-    def propagate_branch(self, good: List[int], gate_index: int,
-                         pin_position: int, value: int, mask: int) -> int:
-        """Detection word of a branch (gate input pin) stuck-at fault."""
-        gate = self.gates[gate_index]
-        ins = [good[i] for i in gate.ins]
-        ins[pin_position] = mask if value else 0
-        out_word = gate.op(ins, mask)
-        if out_word == good[gate.out]:
-            return 0
-        return self._propagate(good, {gate.out: out_word}, mask)
-
     def observation_diff(self, good: List[int], net_id: int, value: int,
                          mask: int) -> int:
         """Detection word of a fault on a pin feeding an observation
@@ -443,3 +443,88 @@ class CompiledCircuit:
             if nid in observed:
                 detect |= (word ^ good[nid])
         return detect & mask
+
+
+class BlockDetector:
+    """Detection words of stuck-at faults over one simulated block.
+
+    Built on the good-machine *values* of one block (``mask`` wide).
+    Per net it memoizes the sensitization of its region link and, per
+    stem, the word of patterns on which flipping the stem reaches an
+    observation point, so a block's faults share both. Every fault
+    simulation caller — the stuck-at random phase, PODEM batch flushes,
+    compaction and the transition engine's random phase and pair
+    dropping — scores its active faults through one detector per block.
+    """
+
+    __slots__ = ("circuit", "good", "mask", "_sens", "_stem_words")
+
+    def __init__(self, circuit: CompiledCircuit, good: List[int],
+                 mask: int) -> None:
+        self.circuit = circuit
+        self.good = good
+        self.mask = mask
+        #: region net -> patterns on which flipping it flips its reader
+        self._sens: Dict[int, int] = {}
+        #: stem net -> patterns on which flipping it is observed
+        self._stem_words: Dict[int, int] = {}
+
+    def stem(self, net_id: int, value: int, care: Optional[int] = None
+             ) -> int:
+        """Detection word of *net_id* stuck-at *value*, restricted to the
+        *care* patterns (default: the whole block)."""
+        mask = self.mask
+        active = (self.good[net_id] ^ (mask if value else 0)) & (
+            mask if care is None else care)
+        if not active:
+            return 0  # never activated
+        return self._observe(net_id, active)
+
+    def branch(self, gate_index: int, pin_position: int, value: int) -> int:
+        """Detection word of the gate input pin *pin_position* of gate
+        *gate_index* stuck-at *value*."""
+        good, mask = self.good, self.mask
+        gate = self.circuit.gates[gate_index]
+        ins = [good[i] for i in gate.ins]
+        ins[pin_position] = mask if value else 0
+        diff = gate.op(ins, mask) ^ good[gate.out]
+        if not diff:
+            return 0
+        return self._observe(gate.out, diff)
+
+    def observation(self, net_id: int, value: int) -> int:
+        """Detection word of a fault on a pin feeding an observation
+        point directly."""
+        return self.circuit.observation_diff(self.good, net_id, value,
+                                             self.mask)
+
+    def _observe(self, net_id: int, word: int) -> int:
+        """The patterns of *word* on which a flip of *net_id* reaches an
+        observation point: AND the sensitization of each region link up
+        to the stem, then the stem's flip-observability word."""
+        circuit, good, mask = self.circuit, self.good, self.mask
+        links, gates = circuit.region_link, circuit.gates
+        sens = self._sens
+        link = links[net_id]
+        while link is not None:
+            flips = sens.get(net_id)
+            if flips is None:
+                gate = gates[link[0]]
+                ins = [good[i] for i in gate.ins]
+                ins[link[1]] ^= mask
+                flips = gate.op(ins, mask) ^ good[gate.out]
+                sens[net_id] = flips
+            word &= flips
+            if not word:
+                return 0
+            net_id = gates[link[0]].out
+            link = links[net_id]
+        observed = self._stem_words.get(net_id)
+        if observed is None:
+            if net_id in circuit.observed:
+                observed = mask
+            else:
+                observed = circuit._propagate(
+                    good, {net_id: good[net_id] ^ mask}, mask)
+            self._stem_words[net_id] = observed
+        return word & observed

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.atpg.engine import AtpgConfig, AtpgResult, _patterns_to_words
 from repro.atpg.faults import Fault, FaultKind, FaultList, Polarity, build_fault_list
 from repro.atpg.podem import PodemGenerator
-from repro.atpg.sim import CompiledCircuit
+from repro.atpg.sim import BlockDetector, CompiledCircuit
 from repro.dft.testview import TestView
 from repro.util.rng import DeterministicRng
 
@@ -86,17 +86,16 @@ def run_transition_atpg(view: TestView, config: Optional[AtpgConfig] = None
         words2 = [rng.getrandbits(config.block_width) for _ in range(columns)]
         good1 = circuit.simulate(words1, mask, out=launch_buffer)
         good2 = circuit.simulate(words2, mask, out=capture_buffer)
+        detector = BlockDetector(circuit, good2, mask)
         first_detector: Dict[int, int] = {}
         for index in active:
             fault = faults[index]
             nid = net_ids[index]
-            initial = fault.initial_value
             launch = (~good1[nid] & mask) if fault.slow_to_rise \
                 else (good1[nid] & mask)
             if not launch:
                 continue
-            det2 = circuit.propagate_stem(good2, nid, initial, mask)
-            det = det2 & launch
+            det = detector.stem(nid, fault.initial_value, launch)
             if det:
                 status[index] = _DETECTED
                 k = (det & -det).bit_length() - 1
@@ -195,6 +194,7 @@ def _drop_with_pairs(circuit: CompiledCircuit, faults: List[TransitionFault],
     chunk_mask = (1 << len(pairs)) - 1
     good1 = circuit.simulate(words1, chunk_mask)
     good2 = circuit.simulate(words2, chunk_mask)
+    detector = BlockDetector(circuit, good2, chunk_mask)
     for index, fault in enumerate(faults):
         if status[index] != _ACTIVE:
             continue
@@ -203,7 +203,5 @@ def _drop_with_pairs(circuit: CompiledCircuit, faults: List[TransitionFault],
             else (good1[nid] & chunk_mask)
         if not launch:
             continue
-        det = circuit.propagate_stem(good2, nid, fault.initial_value,
-                                     chunk_mask) & launch
-        if det:
+        if detector.stem(nid, fault.initial_value, launch):
             status[index] = _DETECTED

@@ -111,18 +111,59 @@ def _mutant_podem_activation_is_detection() -> Iterator[None]:
     never propagate the fault effect are reported as tests."""
     from repro.atpg import podem
 
-    original = podem.PodemGenerator._check_arr
+    original = podem.PodemGenerator._check
 
     def eager(self, fs, site_net, stuck) -> str:
-        if self._gv_arr[site_net] == 1 - stuck:
+        if self._val[site_net] // 3 == 1 - stuck:  # good machine value
             return "detected"
         return original(self, fs, site_net, stuck)
 
-    podem.PodemGenerator._check_arr = eager
+    podem.PodemGenerator._check = eager
     try:
         yield
     finally:
-        podem.PodemGenerator._check_arr = original
+        podem.PodemGenerator._check = original
+
+
+@contextlib.contextmanager
+def _mutant_podem_dirty_base() -> Iterator[None]:
+    """A search leaves its fault's injection on the shared fault-free
+    state: the next fault starts from the previous fault's machine."""
+    from repro.atpg import podem
+
+    original = podem.PodemGenerator._inject
+
+    def sticky(self, fs, site_net) -> None:
+        original(self, fs, site_net)
+        del self._trail[:]  # the injection can no longer be undone
+
+    podem.PodemGenerator._inject = sticky
+    try:
+        yield
+    finally:
+        podem.PodemGenerator._inject = original
+
+
+@contextlib.contextmanager
+def _mutant_ffr_unsensitized_path() -> Iterator[None]:
+    """A fault inside a fanout-free region reads only its stem's
+    observability: the side inputs along the path to the stem are
+    never checked for sensitization."""
+    from repro.atpg import sim
+
+    original = sim.BlockDetector._observe
+
+    def stem_only(self, net_id, word) -> int:
+        links, gates = self.circuit.region_link, self.circuit.gates
+        while links[net_id] is not None:
+            net_id = gates[links[net_id][0]].out
+        return original(self, net_id, word)
+
+    sim.BlockDetector._observe = stem_only
+    try:
+        yield
+    finally:
+        sim.BlockDetector._observe = original
 
 
 @contextlib.contextmanager
@@ -223,6 +264,11 @@ MUTANTS: Dict[str, tuple] = {
     "podem-activation-is-detection": (
         "PODEM reports detection on fault activation",
         _mutant_podem_activation_is_detection),
+    "podem-dirty-base": ("PODEM never undoes a fault's injection",
+                         _mutant_podem_dirty_base),
+    "ffr-unsensitized-path": ("a region fault reads only its stem's "
+                              "observability",
+                              _mutant_ffr_unsensitized_path),
     "schedule-chain-drop": ("wrapper designer drops the last cell",
                             _mutant_schedule_chain_drop),
     "schedule-pack-overlap": ("packer never raises the skyline",

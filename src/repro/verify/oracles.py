@@ -14,8 +14,9 @@ kernel                          oracle strategy
 op-tape block simulation        per-pattern truth-table lookup via
 (``atpg/sim.py``)               demand-driven recursion (no tape, no
                                 topological order, no packing tricks)
-event-driven fault propagation  full forced re-simulation of the
-                                faulty machine for every fault
+block fault detection           full forced re-simulation of the
+(fanout-free regions, stem      faulty machine for every fault
+propagation; ``atpg/sim.py``)
 PODEM test generation           each detected cube replayed through
 (``atpg/podem.py``)             the fault oracle under both
                                 don't-care fills; each untestable

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atpg.sim import CompiledCircuit
+from repro.atpg.sim import BlockDetector, CompiledCircuit
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.builder import NetlistBuilder
 from repro.util.errors import AtpgError
@@ -57,7 +57,7 @@ class TestFaultPropagation:
         c_id = circuit.net_ids[netlist.instance("g_and").output_net()]
         # c stuck-at-1: faulty d = 1^a; differs exactly where a&b == 0,
         # i.e. patterns 1,2,3 -> word 0b1110
-        det = circuit.propagate_stem(good, c_id, 1, 0b1111)
+        det = BlockDetector(circuit, good, 0b1111).stem(c_id, 1)
         assert det == 0b1110
 
     def test_unactivated_stem_not_detected(self):
@@ -66,18 +66,18 @@ class TestFaultPropagation:
         # all-ones inputs: c = 1 everywhere, so c s-a-1 never activates
         good = circuit.simulate([0b1111, 0b1111], 0b1111)
         c_id = circuit.net_ids[netlist.instance("g_and").output_net()]
-        assert circuit.propagate_stem(good, c_id, 1, 0b1111) == 0
+        assert BlockDetector(circuit, good, 0b1111).stem(c_id, 1) == 0
 
     def test_branch_fault_narrower_than_stem(self):
         view, netlist = make_view()
         circuit = CompiledCircuit(view)
         good = circuit.simulate([0b0101, 0b0011], 0b1111)
         a_id = circuit.net_ids["a"]
-        stem = circuit.propagate_stem(good, a_id, 0, 0b1111)
+        detector = BlockDetector(circuit, good, 0b1111)
+        stem = detector.stem(a_id, 0)
         gate_index = circuit.gate_index_by_name["g_xor"]
         position = list(circuit.gates[gate_index].ins).index(a_id)
-        branch = circuit.propagate_branch(good, gate_index, position, 0,
-                                          0b1111)
+        branch = detector.branch(gate_index, position, 0)
         # a s-a-0 stem: faulty d = 0, good d = 0b0100 -> det 0b0100;
         # the XOR-pin branch leaves the AND path intact: faulty d = a&b,
         # diff = a -> det 0b0101. Distinct effects, both nonzero.

@@ -14,7 +14,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atpg.sim import CompiledCircuit
+from repro.atpg.sim import BlockDetector, CompiledCircuit
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
 from repro.core.config import Scenario, WcmConfig
@@ -85,11 +85,13 @@ def test_tape_buffer_reuse_is_transparent(seed):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_event_propagation_matches_full_resimulation(seed):
-    """Event-driven stem propagation == brute-force faulty resim."""
+    """Block stem detection == brute-force faulty resim, for every
+    gate output, both polarities, from one detector per block."""
     circuit = _compiled(seed)
     rng = DeterministicRng(seed)
     words = [rng.getrandbits(_WIDTH) for _ in range(circuit.input_count)]
     good = circuit.simulate(words, _MASK)
+    detector = BlockDetector(circuit, good, _MASK)
     observed = circuit.observed
 
     for gate in circuit.gates:
@@ -110,8 +112,7 @@ def test_event_propagation_matches_full_resimulation(seed):
             expected &= _MASK
             if forced == (good[stem] & _MASK):
                 expected = 0  # never activated
-            assert circuit.propagate_stem(good, stem, value, _MASK) \
-                == expected
+            assert detector.stem(stem, value) == expected
 
 
 # ---------------------------------------------------------------------------

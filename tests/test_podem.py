@@ -1,6 +1,7 @@
-"""Tests for the PODEM generator (5-valued search, SCOAP, X-path)."""
+"""Tests for the PODEM generator (two-machine tables, SCOAP, X-path)."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -41,27 +42,43 @@ class TestEval3:
         assert _eval3("oai21", [0, 0, X]) == 1
         assert _eval3("oai21", [X, 0, 1]) == X
 
-    @pytest.mark.parametrize("op", sorted(podem._OP3_CODES))
+    @pytest.mark.parametrize("op", sorted(LOGIC_FUNCTIONS))
     def test_op_code_evaluators_match(self, op):
-        """The search's op-code evaluators agree with `_eval3` on every
-        3-valued input, for every arity the library produces."""
-        code = podem._OP3_CODES[op]
+        """Every entry of the search's two-machine table equals `_eval3`
+        on the good inputs (high trit) and on the faulty inputs (low
+        trit), for every arity the library produces."""
         arities = {"buf": (1,), "inv": (1,), "mux2": (3,), "aoi21": (3,),
                    "oai21": (3,)}.get(op, (2, 3))
         for arity in arities:
-            for vals in itertools.product((0, 1, X), repeat=arity):
-                want = _eval3(op, list(vals))
-                assert podem._eval3_arr(code, range(arity),
-                                        list(vals)) == want
-                for pos, stuck in itertools.product(range(arity), (0, 1)):
-                    pinned = list(vals)
-                    pinned[pos] = stuck
-                    assert podem._eval3_pinned(
-                        code, range(arity), list(vals), pos,
-                        stuck) == _eval3(op, pinned)
+            table = podem._table(op, arity)
+            assert len(table) == 9 ** arity
+            for index, codes in enumerate(
+                    itertools.product(range(9), repeat=arity)):
+                good = [c // 3 for c in codes]
+                faulty = [c % 3 for c in codes]
+                assert table[index] == 3 * _eval3(op, good) \
+                    + _eval3(op, faulty), (op, codes)
 
     def test_op_codes_cover_the_library(self):
-        assert set(podem._OP3_CODES) == set(LOGIC_FUNCTIONS)
+        assert set(podem._NONCONTROLLING) == set(LOGIC_FUNCTIONS)
+
+    def test_tables_are_built_on_first_use(self):
+        """No table exists until a generator needs one, and a second
+        generator reuses the first one's tables."""
+        import subprocess
+        import sys
+
+        probe = ("import repro.atpg.podem as p; "
+                 "assert not p._TABLES, sorted(p._TABLES)")
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={"PYTHONPATH": str(Path(podem.__file__)
+                                              .parents[2])})
+        view, _netlist = redundant_view()
+        PodemGenerator(CompiledCircuit(view))
+        before = dict(podem._TABLES)
+        PodemGenerator(CompiledCircuit(view))
+        assert all(podem._TABLES[key] is table
+                   for key, table in before.items())
 
 
 def redundant_view():
@@ -81,7 +98,7 @@ class TestPodemVerdicts:
             self, monkeypatch):
         view, _netlist = redundant_view()
         circuit = CompiledCircuit(view)
-        monkeypatch.delitem(podem._OP3_CODES, "and")
+        monkeypatch.delitem(podem._NONCONTROLLING, "and")
         with pytest.raises(AtpgError, match="no 3-valued model for and"):
             PodemGenerator(circuit)
 
@@ -187,11 +204,74 @@ class TestPodemOracleCheck:
         assert _checks_of(["podem[x s-a-0]: ..."]) == ["podem"]
 
     def test_activation_mutant_killed(self):
-        """A PODEM that calls activation detection is caught by the
-        oracle replay of its cubes."""
+        """A PODEM that calls activation detection, and one that never
+        undoes a fault's injection, are caught by the oracle replay of
+        their cubes."""
         from repro.verify.mutants import self_check
 
         results = self_check(root_seed=0, budget=10, checks=["podem"],
-                             mutant_names=["podem-activation-is-detection"])
+                             mutant_names=["podem-activation-is-detection",
+                                           "podem-dirty-base"])
         assert all(r.killed for r in results), \
             [(r.name, r.killed) for r in results]
+
+
+class TestOutcomeDigest:
+    """Every PODEM outcome on b11_d0's three stack views is pinned.
+
+    ``tests/golden/podem_outcomes_b11_d0.json`` holds, per view
+    (agrawal/area, ours/area, ours/tight), a SHA-256 over one line per
+    outcome: ``run`` of every collapsed fault, then ``justify(net, 0)``
+    and ``justify(net, 1)`` of every gate-driven net, each as status,
+    sorted cube (by net name) and backtrack count. It was recorded with
+    the two-array implication engine that preceded the table-driven
+    one, so a change to any decision, implication or backtrack count
+    shows up here even where the aggregate goldens would not move.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden" / "podem_outcomes_b11_d0.json"
+
+    @staticmethod
+    def _line(circuit, label, outcome):
+        cube = sorted((circuit.net_names[nid], value)
+                      for nid, value in outcome.assignment.items())
+        return f"{label} {outcome.status} {cube} {outcome.backtracks}"
+
+    def test_outcomes_match_recorded_digest(self):
+        import collections
+        import hashlib
+        import json
+
+        from repro.experiments.common import (
+            SCALES, method_config, prepare_die, run_method)
+
+        prepared = prepare_die("b11", 0)
+        area, tight = prepared.scenarios()
+        got = {}
+        for method, scenario in (("agrawal", area), ("ours", area),
+                                 ("ours", tight)):
+            flow = run_method(prepared, method_config(method, scenario,
+                                                      SCALES["smoke"]))
+            view = build_prebond_test_view(flow.wrapped_netlist)
+            circuit = CompiledCircuit(view)
+            generator = PodemGenerator(circuit)
+            lines = []
+            statuses = collections.Counter()
+            for fault in build_fault_list(view).faults:
+                outcome = generator.run(fault)
+                statuses["run." + outcome.status] += 1
+                lines.append(self._line(circuit, fault.describe(), outcome))
+            for gate in circuit.gates:
+                for value in (0, 1):
+                    outcome = generator.justify(gate.out, value)
+                    statuses["justify." + outcome.status] += 1
+                    lines.append(self._line(
+                        circuit, f"{circuit.net_names[gate.out]}={value}",
+                        outcome))
+            got[f"{method}/{scenario.name}"] = {
+                "outcomes": len(lines),
+                "statuses": dict(sorted(statuses.items())),
+                "sha256": hashlib.sha256(
+                    "\n".join(lines).encode()).hexdigest(),
+            }
+        assert got == json.loads(self.GOLDEN.read_text())

@@ -155,12 +155,13 @@ def test_shrink_returns_original_when_failure_vanishes(monkeypatch):
 # Mutation kill
 # ---------------------------------------------------------------------------
 def test_self_check_kills_cheap_mutants():
-    """The two cheapest mutants die within a handful of iterations —
-    the harness demonstrably can fail."""
+    """The cheapest mutants die within a handful of iterations — the
+    harness demonstrably can fail."""
     results = self_check(root_seed=0, budget=8,
-                         checks=["sim", "sta-reuse"],
+                         checks=["sim", "sta-reuse", "faults"],
                          mutant_names=["sim-opcode-swap",
-                                       "sta-stale-cache"])
+                                       "sta-stale-cache",
+                                       "ffr-unsensitized-path"])
     assert all(r.killed for r in results), results
     assert all(r.iterations <= 8 for r in results)
     assert all(r.evidence for r in results)
