@@ -13,6 +13,7 @@ through the session-finish hook:
   across runs; the gate tracks the wall time).
 """
 
+from repro.experiments import common
 from repro.experiments.common import result_fingerprint
 from repro.schedule import DieTestModel, best_fit_schedule, run_schedule
 from repro.util.rng import DeterministicRng
@@ -22,11 +23,19 @@ PACK_DIES = 64
 PACK_BUDGET = 16
 
 
+def _cold_start():
+    """Empty the per-process die and flow memos, so every round pays
+    for the same cold sweep as the first."""
+    common._PREPARED.clear()
+    common._RUNS.clear()
+
+
 def test_bench_schedule_table(benchmark, scale, echo):
+    # Five rounds, so the recorded mean carries a real spread.
     result = benchmark.pedantic(
         run_schedule, args=(scale,),
         kwargs={"fixed_patterns": FIXED_PATTERNS},
-        rounds=1, iterations=1)
+        setup=_cold_start, rounds=5, iterations=1)
     echo(result.render())
     assert not result.failures, result.failures
     leq, strict, total = result.die_wins()

@@ -7,20 +7,23 @@ DESIGN.md for the system inventory.
 
 Public API by subsystem:
 
-* :mod:`repro.netlist` — cell library, netlist model, cones, Verilog,
-  validation, functional equivalence checking
+* :mod:`repro.netlist` — cell library, netlist model, cones,
+  validation
 * :mod:`repro.bench` — ITC'99-calibrated die/stack generation
-* :mod:`repro.threed` — stack model and FM min-cut partitioning
+* :mod:`repro.threed` — the die-stack model (dies and TSV links)
 * :mod:`repro.place` — placement and wirelength
 * :mod:`repro.sta` — static timing analysis with case analysis
 * :mod:`repro.dft` — scan stitching, wrapper insertion, test views,
-  area accounting, post-bond views
+  area accounting
 * :mod:`repro.atpg` — fault models, packed simulation, PODEM, the
   stuck-at and transition ATPG flows
 * :mod:`repro.core` — the paper's contribution: scenarios, the
   accurate reuse timing model, Algorithm 1/2, the end-to-end flow and
-  the Agrawal/Li baselines
+  the Agrawal baseline
 * :mod:`repro.experiments` — regenerate every table and figure
+* :mod:`repro.verify` — brute-force oracles and the ``repro fuzz``
+  differential checks, including DFT insertion's functional
+  equivalence
 
 Quick start::
 

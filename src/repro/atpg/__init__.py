@@ -29,7 +29,6 @@ from repro.atpg.sim import CompiledCircuit
 from repro.atpg.engine import AtpgConfig, AtpgResult, run_stuck_at_atpg
 from repro.atpg.transition import run_transition_atpg
 from repro.atpg.podem import PodemGenerator
-from repro.atpg.diagnosis import DiagnosisResult, FaultDiagnoser
 
 __all__ = [
     "Fault",
@@ -43,6 +42,4 @@ __all__ = [
     "run_stuck_at_atpg",
     "run_transition_atpg",
     "PodemGenerator",
-    "DiagnosisResult",
-    "FaultDiagnoser",
 ]

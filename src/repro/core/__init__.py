@@ -17,9 +17,8 @@ Pipeline (Fig. 6 of the paper):
    partitioning passes, wrapper insertion, restitching, and the final
    STA violation check.
 
-Baselines: :func:`repro.core.config.WcmConfig.agrawal` (load-only
-timing, inbound-first, no overlap) and :mod:`repro.core.li` (reuse-once
-matching of Li & Xiang [3]).
+Baseline: :func:`repro.core.config.WcmConfig.agrawal` (load-only
+timing, inbound-first, no overlap), the method of Agrawal et al. [4].
 """
 
 from repro.core.config import Scenario, WcmConfig
@@ -29,7 +28,6 @@ from repro.core.graph import GraphStats, WcmGraph, build_wcm_graph
 from repro.core.clique import CliquePartition, partition_cliques
 from repro.core.testability import OverlapEstimate, OverlapTestabilityEstimator
 from repro.core.flow import WcmRunResult, run_wcm_flow
-from repro.core.li import run_li_reuse_once
 
 __all__ = [
     "Scenario",
@@ -46,5 +44,4 @@ __all__ = [
     "OverlapTestabilityEstimator",
     "WcmRunResult",
     "run_wcm_flow",
-    "run_li_reuse_once",
 ]

@@ -10,6 +10,11 @@
 * :mod:`repro.dft.testview` — the pre-bond test view of a wrapped die:
   which nets are controllable, constant, X-source, or observed. This is
   what the ATPG engine measures coverage against.
+* :mod:`repro.dft.area` — area accounting of an insertion or a plan.
+
+It imports only :mod:`repro.netlist` and :mod:`repro.util`; that
+insertion is functionally invisible is checked by the ``insertion``
+check of :mod:`repro.verify`.
 """
 
 from repro.dft.scan import ScanChain, stitch_scan_chains, unstitch_scan_chains
@@ -22,7 +27,6 @@ from repro.dft.wrapper import (
 )
 from repro.dft.testview import TestView, build_prebond_test_view
 from repro.dft.area import AreaReport, area_of_insertion, compare_plans, plan_area_estimate
-from repro.dft.postbond import build_postbond_test_view, merge_stack_netlist
 
 __all__ = [
     "ScanChain",
@@ -39,6 +43,4 @@ __all__ = [
     "area_of_insertion",
     "compare_plans",
     "plan_area_estimate",
-    "build_postbond_test_view",
-    "merge_stack_netlist",
 ]

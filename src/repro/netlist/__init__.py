@@ -4,8 +4,9 @@ This package is the structural foundation every other subsystem builds
 on: a 45 nm-like standard-cell :class:`~repro.netlist.library.Library`
 with logic functions, pin capacitances and a linear delay model; the
 :class:`~repro.netlist.core.Netlist` container (instances, nets, ports);
-levelization and fan-in/fan-out cone analysis; structural Verilog
-read/write; and a structural validator.
+levelization and fan-in/fan-out cone analysis; and a structural
+validator. It imports nothing outside ``repro.netlist`` and
+``repro.util``.
 """
 
 from repro.netlist.library import (
@@ -33,10 +34,6 @@ from repro.netlist.topology import (
     topological_instances,
 )
 from repro.netlist.validate import validate_netlist
-from repro.netlist.equivalence import (
-    EquivalenceResult,
-    check_functional_equivalence,
-)
 
 __all__ = [
     "CellPin",
@@ -58,6 +55,4 @@ __all__ = [
     "fanout_cone",
     "topological_instances",
     "validate_netlist",
-    "EquivalenceResult",
-    "check_functional_equivalence",
 ]

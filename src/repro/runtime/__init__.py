@@ -1,13 +1,13 @@
 """Deterministic, supervised parallel experiment runtime.
 
-Five orthogonal capabilities behind one import:
+Four orthogonal capabilities behind one import:
 
-* :mod:`repro.runtime.supervisor` — supervised per-cell execution with
-  crash isolation, wall-clock timeouts, bounded same-seed retry and
+* :mod:`repro.runtime.supervisor` — ordered, supervised per-cell
+  execution with per-cell seed derivation (serial ≡ parallel), crash
+  isolation, wall-clock timeouts, bounded same-seed retry and
   checkpoint/resume (every cell comes back as a
-  :class:`~repro.runtime.supervisor.CellOutcome`),
-* :mod:`repro.runtime.parallel` — ordered strict map over experiment
-  cells with per-cell seed derivation (serial ≡ parallel),
+  :class:`~repro.runtime.supervisor.CellOutcome`; a strict policy
+  raises on the first terminal failure instead),
 * :mod:`repro.runtime.cache` — content-addressed on-disk cache of WCM
   flow summaries and ATPG results, with corrupt-entry quarantine,
 * :mod:`repro.runtime.chaos` — deterministic fault injection (worker
@@ -41,7 +41,6 @@ from repro.runtime.config import (
     current_config,
     resolve_jobs,
 )
-from repro.runtime.parallel import parallel_map
 from repro.runtime.supervisor import (
     CellOutcome,
     SupervisorPolicy,
@@ -71,7 +70,6 @@ __all__ = [
     "cell_seed",
     "configure",
     "current_config",
-    "parallel_map",
     "resolve_jobs",
     "supervised_map",
     "trace",

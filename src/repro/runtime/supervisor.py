@@ -1,13 +1,14 @@
 """Supervised execution of experiment sweeps: per-cell isolation,
 wall-clock timeouts, bounded retry, checkpoint/resume.
 
-:func:`repro.runtime.parallel.parallel_map` gave the experiment matrix
-ordered, deterministic fan-out — but one worker crash, one wedged PODEM
-cell or one unpicklable exception aborted the whole sweep with nothing
-to show. This module replaces the bare pool ``map`` with a supervisor
-that owns its worker processes outright (one duplex pipe each, so a
-hung worker can actually be killed) and turns every per-cell mishap
-into data instead of an abort:
+The experiment matrix is embarrassingly parallel: every (die, method,
+scenario) cell is an independent computation. A bare pool ``map``
+would give ordered fan-out, but one worker crash, one wedged PODEM
+cell or one unpicklable exception would abort the whole sweep with
+nothing to show. :func:`supervised_map` instead owns its worker
+processes outright (one duplex pipe each, so a hung worker can
+actually be killed) and turns every per-cell mishap into data instead
+of an abort:
 
 * **crash isolation** — a worker that dies mid-cell (segfault,
   ``os._exit``, OOM kill) yields a ``failed`` :class:`CellOutcome`;
@@ -25,13 +26,17 @@ into data instead of an abort:
 * **strict mode** — fail fast: the first terminal failure raises
   :class:`~repro.util.errors.RuntimeExecutionError` (or
   :class:`~repro.util.errors.CellTimeoutError`) instead of completing.
+  A caller that wants every result or an exception (the fuzz driver)
+  passes ``strict=True`` and calls
+  :meth:`SweepResult.results_or_raise`.
 
-Determinism contract: identical to :mod:`repro.runtime.parallel` —
-outcomes come back in submission order, every attempt of every cell
-reseeds global ``random`` from ``cell_seed(seed, index)``, and workers
-inherit the parent's runtime config pinned to ``jobs=1``. A sweep with
-injected faults leaves every *surviving* cell byte-identical to a
-clean serial run (asserted by the chaos suite).
+Determinism contract: outcomes come back in submission order, never
+in completion order; every attempt of every cell — in the serial path
+*and* in workers — reseeds global ``random`` from ``cell_seed(seed,
+index)``, so serial and parallel runs are interchangeable; and workers
+inherit the parent's runtime config pinned to ``jobs=1`` (no nested
+pools). A sweep with injected faults leaves every *surviving* cell
+byte-identical to a clean serial run (asserted by the chaos suite).
 """
 
 from __future__ import annotations
@@ -681,8 +686,7 @@ def supervised_map(fn: Callable[[Any], Any], cells: Iterable[Any],
     Returns a :class:`SweepResult` whose outcomes are in submission
     order. With ``policy=None`` the policy comes from the runtime
     config (CLI flags / environment). Workers must be given a
-    module-level function and picklable cells, as with
-    :func:`~repro.runtime.parallel.parallel_map`.
+    module-level function and picklable cells.
     """
     cells = list(cells)
     jobs = resolve_jobs(jobs)

@@ -13,8 +13,6 @@ post-insertion violation check behind Table III.
 from repro.sta.delay import WireModel
 from repro.sta.constraints import ClockConstraint, tight_period_for
 from repro.sta.timer import TimingAnalyzer, TimingResult
-from repro.sta.report import TimingReport, render_timing_report
-from repro.sta.paths import TimingPath, render_worst_paths, worst_paths
 
 __all__ = [
     "WireModel",
@@ -22,9 +20,4 @@ __all__ = [
     "tight_period_for",
     "TimingAnalyzer",
     "TimingResult",
-    "TimingReport",
-    "render_timing_report",
-    "TimingPath",
-    "render_worst_paths",
-    "worst_paths",
 ]

@@ -1,26 +1,15 @@
-"""3D-IC modelling: die stacks, TSV links, and min-cut partitioning.
+"""3D-IC modelling: die stacks and TSV links.
 
-Two ways to obtain a stack exist in this reproduction:
-
-* :func:`repro.bench.generate_stack` builds dies calibrated to the
-  paper's Table II directly (used by all experiments), and
-* :func:`repro.threed.partition.partition_into_stack` partitions a flat
-  2D netlist into dies with a Fiduccia–Mattheyses min-cut heuristic,
-  standing in for the 3D-Craft flow of the paper (used by examples and
-  the full-flow tests).
+The paper partitions each ITC'99 circuit into four dies with 3D-Craft.
+This reproduction instead builds dies calibrated to the paper's
+Table II directly (:func:`repro.bench.generate_die`) and bonds them
+into a :class:`Stack3D` with :func:`repro.bench.generate_stack`; every
+experiment takes its stacks from there.
 """
 
 from repro.threed.model import Stack3D, TsvLink
-from repro.threed.partition import (
-    PartitionConfig,
-    bisect_instances,
-    partition_into_stack,
-)
 
 __all__ = [
     "Stack3D",
     "TsvLink",
-    "PartitionConfig",
-    "bisect_instances",
-    "partition_into_stack",
 ]

@@ -3,8 +3,8 @@
 A :class:`Stack3D` owns one netlist per die plus the :class:`TsvLink`
 records that describe which outbound TSV of which die bonds to which
 inbound TSV of another die. Pre-bond analysis (the entire WCM problem)
-is per-die; the links exist so post-bond checks and examples can reason
-about the assembled stack.
+is per-die; the links record how the generated stack is bonded, and
+:meth:`Stack3D.validate_links` checks them.
 """
 
 from __future__ import annotations

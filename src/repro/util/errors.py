@@ -28,7 +28,7 @@ class AtpgError(ReproError):
 
 
 class PartitionError(ReproError):
-    """3D partitioning failure (infeasible balance, empty die)."""
+    """Malformed die stack (bad TSV link, die index out of range)."""
 
 
 class ConfigError(ReproError):

@@ -1,9 +1,10 @@
 """Differential verification subsystem (DESIGN.md §8).
 
-Brute-force oracles for every optimized kernel, a seeded random
-instance generator, metamorphic invariants, a shrinking fuzz driver
-(``repro fuzz``) and a mutation-kill self-check that proves the
-harness can actually fail.
+Brute-force oracles for every optimized kernel, a functional
+equivalence check of every wrapper insertion, a seeded random instance
+generator, metamorphic invariants, a shrinking fuzz driver (``repro
+fuzz``) and a mutation-kill self-check that proves the harness can
+actually fail.
 """
 
 from repro.verify.checks import CHECKS, Subject, run_checks

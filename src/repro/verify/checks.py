@@ -31,6 +31,7 @@ from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.rng import DeterministicRng
 from repro.verify.instances import InstanceSpec
 from repro.verify.oracles import (
+    check_functional_equivalence,
     exact_min_clique_partition,
     exhaustive_input_words,
     oracle_build_graph,
@@ -338,6 +339,31 @@ def check_clique(subject: Subject) -> List[str]:
             out.append(f"clique[{kind.name}]: heuristic produced "
                        f"{len(partition.cliques)} cliques, below the "
                        f"exact minimum {exact} — cover must be invalid")
+    return out
+
+
+def check_insertion(subject: Subject) -> List[str]:
+    """Wrapper insertion is functionally invisible: with ``test_mode =
+    0`` the bare die equals both the dedicated reference build and the
+    wrapped die of one cold ``run_wcm_flow``, at every primary output,
+    outbound TSV and flip-flop D input. The flow runs on a problem
+    rebuilt from a netlist clone, so the subject stays untouched."""
+    from repro.core.flow import run_wcm_flow
+    from repro.core.problem import build_problem
+
+    bare = subject.problem.netlist
+    problem = build_problem(bare.clone(),
+                            clock=subject.config.scenario.clock,
+                            already_prepared=True)
+    run = run_wcm_flow(problem, subject.config)
+    out: List[str] = []
+    for label, wrapped in (("dedicated", subject.problem.dedicated_netlist),
+                           ("flow", run.wrapped_netlist)):
+        result = check_functional_equivalence(bare, wrapped)
+        if not result.equivalent:
+            out.append(f"insertion[{label}]: {result.mismatch.observable} "
+                       f"differs from the bare die within "
+                       f"{result.patterns_checked} pattern(s)")
     return out
 
 
@@ -696,6 +722,7 @@ CHECKS: Dict[str, Callable[[Subject], List[str]]] = {
     "sta-reuse": check_sta_reuse,
     "graph": check_graph,
     "clique": check_clique,
+    "insertion": check_insertion,
     "meta-isometry": check_metamorphic_isometry,
     "meta-thresholds": check_metamorphic_thresholds,
     "meta-isolated-ff": check_metamorphic_isolated_ff,

@@ -10,13 +10,14 @@ visit the identical specs — and a failure report names the exact
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.runtime import trace
-from repro.runtime.parallel import parallel_map
+from repro.runtime.supervisor import SupervisorPolicy, supervised_map
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.verify.checks import CHECKS, run_checks
 from repro.verify.instances import MIN_GATES, InstanceSpec
@@ -116,9 +117,10 @@ def run_fuzz(root_seed: int = 0, budget: Optional[int] = None,
     """Fuzz until the iteration or wall-clock budget is exhausted.
 
     Exactly one of *budget*/*seconds* may be given (default: 100
-    iterations). Iterations are dispatched through the supervised
-    ``parallel_map`` in chunks, so ``--jobs N`` changes wall-clock only
-    — the visited spec stream is identical.
+    iterations). Iterations are dispatched through a strict
+    ``supervised_map`` in chunks, so ``--jobs N`` changes wall-clock
+    only — the visited spec stream is identical — and a crashed worker
+    raises instead of silently dropping iterations.
     """
     if budget is None and seconds is None:
         budget = 100
@@ -127,6 +129,8 @@ def run_fuzz(root_seed: int = 0, budget: Optional[int] = None,
         raise ValueError(f"unknown checks: {unknown} "
                          f"(have {sorted(CHECKS)})")
     report = FuzzReport(root_seed=root_seed)
+    policy = dataclasses.replace(SupervisorPolicy.from_config(),
+                                 strict=True, checkpoint_dir=None)
     started = time.monotonic()
     check_key = tuple(checks or ())
     index = 0
@@ -139,8 +143,9 @@ def run_fuzz(root_seed: int = 0, budget: Optional[int] = None,
         if budget is not None:
             chunk_end = min(chunk_end, budget)
         cells = [(root_seed, i, check_key) for i in range(index, chunk_end)]
-        for i, divergences in parallel_map(_fuzz_cell, cells, jobs=jobs,
-                                           seed=root_seed):
+        sweep = supervised_map(_fuzz_cell, cells, jobs=jobs, seed=root_seed,
+                               label="fuzz", policy=policy)
+        for i, divergences in sweep.results_or_raise():
             report.iterations += 1
             trace.inc("verify.fuzz_iterations")
             if divergences:
@@ -183,6 +188,7 @@ def _checks_of(divergences: List[str]) -> List[str]:
                              ("podem", "podem"),
                              ("sta-reuse", "sta[reuse"), ("sta", "sta"),
                              ("graph", "graph"), ("clique", "clique"),
+                             ("insertion", "insertion"),
                              ("meta-isometry", "meta[rotate"),
                              ("meta-isometry", "meta[mirror"),
                              ("meta-thresholds", "meta[thresholds"),

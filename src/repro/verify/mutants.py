@@ -249,6 +249,41 @@ def _mutant_share_first_arrival() -> Iterator[None]:
         model_cls.outbound_share_feasible = original
 
 
+@contextlib.contextmanager
+def _mutant_wrapper_reuse_mux_swapped() -> Iterator[None]:
+    """The outbound reuse mux is built as ``new_mux(chain, d_net, ...)``:
+    with ``test_mode = 0`` the reused FF captures the XOR chain instead
+    of its own D logic. Timing, plans and counts are unchanged; only
+    the function of the wrapped die is wrong."""
+    from repro.core import flow, problem, session
+    from repro.dft import wrapper
+    from repro.netlist.core import PortKind
+
+    original = wrapper.insert_wrappers
+
+    def swapped(netlist, plan):
+        work, report = original(netlist, plan)
+        for group, inserted in zip(plan.groups, report.group_instances):
+            if group.kind is PortKind.TSV_OUTBOUND and group.reused_ff:
+                mux = next(n for n in inserted if n.startswith("wrapmux_"))
+                d_net = work.instances[mux].connections["A"]
+                chain = work.instances[mux].connections["B"]
+                for pin, net in (("A", chain), ("B", d_net)):
+                    work.disconnect_pin(mux, pin)
+                    work.connect(mux, pin, net)
+        return work, report
+
+    # the modules that call it by a name bound at import time
+    holders = (wrapper, flow, problem, session)
+    for module in holders:
+        module.insert_wrappers = swapped
+    try:
+        yield
+    finally:
+        for module in holders:
+            module.insert_wrappers = original
+
+
 #: name -> (description, contextmanager factory)
 MUTANTS: Dict[str, tuple] = {
     "sim-opcode-swap": ("op-tape compiles AND2 as OR2",
@@ -277,6 +312,9 @@ MUTANTS: Dict[str, tuple] = {
                               _mutant_schedule_fill_longest),
     "share-first-arrival": ("outbound share check reads the first TSV's "
                             "arrival only", _mutant_share_first_arrival),
+    "wrapper-reuse-mux-swapped": ("outbound reuse mux selects the XOR "
+                                  "chain in functional mode",
+                                  _mutant_wrapper_reuse_mux_swapped),
 }
 
 

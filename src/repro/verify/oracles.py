@@ -33,6 +33,12 @@ its hoisted timing checks       spatial hash, no bitsets) and every
 heuristic clique partition      exact minimum clique partition by
 (``core/clique.py``)            branch-and-bound (small instances) —
                                 a lower bound on any valid partition
+wrapper insertion               functional equivalence with the bare
+(``dft/wrapper.py``)            die at ``test_mode = 0``: packed
+                                random simulation of both netlists
+                                (on the compiled simulator, which the
+                                ``sim`` check holds to the truth
+                                table) over their shared controls
 ==============================  =====================================
 
 Contracts the oracles pin down (and the fuzzer cross-checks):
@@ -52,9 +58,11 @@ Contracts the oracles pin down (and the fuzzer cross-checks):
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.faults import Fault, FaultKind
+from repro.atpg.sim import CompiledCircuit
 from repro.core.config import WcmConfig
 from repro.core.graph import GraphStats, WcmGraph, effective_d_th
 from repro.core.problem import WcmProblem
@@ -72,6 +80,7 @@ from repro.sta.timer import (
     _UNTIMED_PORT_KINDS,
 )
 from repro.util.errors import TimingError
+from repro.util.rng import DeterministicRng
 
 INF = math.inf
 _X = 2
@@ -845,6 +854,120 @@ def partition_violations(graph: WcmGraph, partition, max_group_size: int
     if missing_ffs:
         problems.append(f"FF nodes not covered: {sorted(missing_ffs)}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Functional equivalence of DFT insertion
+# ---------------------------------------------------------------------------
+# DFT insertion must be functionally invisible: with ``test_mode = 0``
+# the wrapped die computes exactly what the bare die computes at every
+# primary output, outbound TSV and flip-flop D input. This is not a
+# formal checker (no SAT): for DFT-style rewiring a few thousand random
+# patterns across the scan-state space give overwhelming confidence,
+# and the first differing observable comes with a concrete stimulus.
+@dataclass
+class Mismatch:
+    """One observable where the two netlists disagree."""
+
+    observable: str
+    #: input assignment (control net name -> bit) reproducing it
+    stimulus: Dict[str, int]
+
+
+@dataclass
+class EquivalenceResult:
+    equivalent: bool
+    patterns_checked: int
+    compared_observables: int
+    #: observables present in only one netlist (not compared)
+    uncompared: List[str] = field(default_factory=list)
+    mismatch: Optional[Mismatch] = None
+
+
+def _functional_view(netlist: Netlist) -> TestView:
+    """The functional-mode view: test_mode pinned 0, scan_enable 0,
+    inbound TSVs treated as real inputs (post-bond functional space),
+    observables at POs, outbound TSVs and FF D nets."""
+    view = TestView(netlist=netlist)
+    for port in netlist.ports.values():
+        if port.net is None:
+            continue
+        if port.kind in (PortKind.PRIMARY_INPUT, PortKind.TSV_INBOUND):
+            view.control_nets.append(port.net)
+        elif port.kind in (PortKind.TEST_MODE, PortKind.SCAN_ENABLE):
+            view.constant_nets[port.net] = 0
+        elif port.kind in (PortKind.PRIMARY_OUTPUT, PortKind.TSV_OUTBOUND):
+            view.observe_nets.append((port.name, port.net))
+    for ff in netlist.flip_flops():
+        q_net = ff.output_net()
+        if q_net is not None:
+            view.control_nets.append(q_net)
+        d_net = ff.connections.get("D")
+        if d_net is not None:
+            view.observe_nets.append((f"{ff.name}.D", d_net))
+    return view
+
+
+def check_functional_equivalence(golden: Netlist, revised: Netlist,
+                                 patterns: int = 2048, seed: int = 2019
+                                 ) -> EquivalenceResult:
+    """Compare *revised* against *golden* in functional mode.
+
+    Control points are matched by name: primary inputs, inbound TSVs
+    and flip-flop Q nets shared by both netlists are driven with the
+    same random values; observables (POs, outbound TSVs, FF D inputs)
+    shared by both are compared bit-for-bit. Wrapper cells exist only
+    in *revised*, so their scan state is part of revised's input space:
+    they are driven randomly too — a correct insertion is insensitive
+    to them in functional mode.
+    """
+    view_g = _functional_view(golden)
+    view_r = _functional_view(revised)
+    circuit_g = CompiledCircuit(view_g)
+    circuit_r = CompiledCircuit(view_r)
+
+    rng = DeterministicRng(seed).child("equivalence", golden.name)
+    width = 256
+    mask = (1 << width) - 1
+
+    # Shared control names drive identical words; extras get their own.
+    cols_g = [circuit_g.net_names[nid] for nid in circuit_g.input_columns]
+    cols_r = [circuit_r.net_names[nid] for nid in circuit_r.input_columns]
+    shared = set(cols_g) & set(cols_r)
+
+    obs_g = {label: net for label, net in view_g.observe_nets}
+    obs_r = {label: net for label, net in view_r.observe_nets}
+    compared = sorted(set(obs_g) & set(obs_r))
+    uncompared = sorted(set(obs_g) ^ set(obs_r))
+
+    checked = 0
+    for _block in range(max(1, (patterns + width - 1) // width)):
+        words: Dict[str, int] = {name: rng.getrandbits(width)
+                                 for name in shared}
+        in_g = [words.get(name, rng.getrandbits(width)) for name in cols_g]
+        in_r = [words.get(name, rng.getrandbits(width)) for name in cols_r]
+        values_g = circuit_g.simulate(in_g, mask)
+        values_r = circuit_r.simulate(in_r, mask)
+        for label in compared:
+            word_g = values_g[circuit_g.net_ids[obs_g[label]]]
+            word_r = values_r[circuit_r.net_ids[obs_r[label]]]
+            diff = word_g ^ word_r
+            if diff:
+                k = (diff & -diff).bit_length() - 1
+                stimulus = {name: (words[name] >> k) & 1
+                            for name in sorted(shared)}
+                return EquivalenceResult(
+                    equivalent=False, patterns_checked=checked + k + 1,
+                    compared_observables=len(compared),
+                    uncompared=uncompared,
+                    mismatch=Mismatch(observable=label, stimulus=stimulus),
+                )
+        checked += width
+
+    return EquivalenceResult(
+        equivalent=True, patterns_checked=checked,
+        compared_observables=len(compared), uncompared=uncompared,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,14 @@
-"""Tests for equivalence checking, area accounting and post-bond views."""
+"""Tests for equivalence checking and area accounting."""
 
 import pytest
 
-from repro.atpg.engine import AtpgConfig, run_stuck_at_atpg
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
-from repro.bench.stack import generate_stack
 from repro.dft.area import area_of_insertion, compare_plans, plan_area_estimate
-from repro.dft.postbond import build_postbond_test_view, merge_stack_netlist
 from repro.dft.scan import stitch_scan_chains
-from repro.dft.testview import build_prebond_test_view
 from repro.dft.wrapper import dedicated_plan, insert_wrappers
-from repro.netlist.equivalence import check_functional_equivalence
-from repro.netlist.validate import validate_netlist
 from repro.place.placer import place_die
+from repro.verify.oracles import check_functional_equivalence
 
 
 @pytest.fixture(scope="module")
@@ -101,36 +96,49 @@ class TestAreaAccounting:
         assert "dedicated" in text and "overhead" in text
 
 
-class TestPostBond:
+class TestInsertionCheck:
+    """The ``insertion`` fuzz check: bare die vs its wrapped builds."""
+
     @pytest.fixture(scope="class")
-    def stack(self):
-        return generate_stack("b11", seed=31)
+    def subject(self):
+        from repro.verify.checks import Subject
+        from repro.verify.fuzz import spec_for_iteration
 
-    def test_merged_stack_validates(self, stack):
-        merged = merge_stack_netlist(stack)
-        validate_netlist(merged, allow_undriven_nets=True)
-        # gates conserved; bond registers added
-        assert merged.gate_count == sum(d.gate_count for d in stack.dies)
-        bonded = sum(1 for l in stack.links if not l.is_external)
-        total_ffs = sum(len(d.flip_flops()) for d in stack.dies)
-        assert len(merged.flip_flops()) == total_ffs + bonded
+        return Subject(spec_for_iteration(0, 0))
 
-    def test_bonded_inbound_no_longer_floating(self, stack):
-        view = build_postbond_test_view(stack)
-        bonded_targets = {(l.target_die, l.target_port)
-                          for l in stack.links if not l.is_external}
-        assert bonded_targets  # the stack has real bonds
-        # every remaining X net belongs to an unbonded inbound port
-        merged = view.netlist
-        for net in view.x_nets:
-            ports = [p for p in merged.ports.values() if p.net == net]
-            assert ports and all(not p.name.split("/")[-1].startswith("bond")
-                                 for p in ports)
+    def test_check_registered_and_clean(self, subject):
+        from repro.core.flow import run_wcm_flow
+        from repro.netlist.core import PortKind
+        from repro.verify.checks import CHECKS
+        from repro.verify.fuzz import _checks_of
 
-    def test_postbond_coverage_beats_prebond_on_tsv_paths(self, stack):
-        """Bonding closes the KGD gap: the union of per-die pre-bond
-        views leaves TSV nets dark that post-bond testing reaches."""
-        config = AtpgConfig(seed=7, block_width=64, max_random_blocks=5,
-                            podem_fault_limit=50, fault_sample=900)
-        post = run_stuck_at_atpg(build_postbond_test_view(stack), config)
-        assert post.coverage > 0.85
+        assert "insertion" in CHECKS
+        # the spec exercises the outbound reuse mux the mutant breaks
+        run = run_wcm_flow(subject.problem, subject.config)
+        assert any(g.kind is PortKind.TSV_OUTBOUND and g.reused_ff
+                   for g in run.plan.groups)
+        assert CHECKS["insertion"](subject) == []
+        assert _checks_of(["insertion[flow]: ff0.D differs"]) \
+            == ["insertion"]
+
+    def test_check_leaves_subject_untouched(self, subject):
+        from repro.bench.families import netlist_fingerprint
+        from repro.verify.checks import check_insertion
+
+        before = [netlist_fingerprint(subject.problem.netlist),
+                  netlist_fingerprint(subject.problem.dedicated_netlist)]
+        check_insertion(subject)
+        assert [netlist_fingerprint(subject.problem.netlist),
+                netlist_fingerprint(subject.problem.dedicated_netlist)] \
+            == before
+
+    def test_reuse_mux_swap_mutant_killed(self):
+        """An outbound reuse mux built with its inputs swapped captures
+        the XOR chain in functional mode; only equivalence sees it."""
+        from repro.verify.mutants import self_check
+
+        results = self_check(root_seed=0, budget=10, checks=["insertion"],
+                             mutant_names=["wrapper-reuse-mux-swapped"])
+        assert all(r.killed for r in results), \
+            [(r.name, r.killed) for r in results]
+        assert results[0].evidence.startswith("insertion[flow]")

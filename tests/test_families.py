@@ -7,6 +7,7 @@ determinism across seeds-of-chaos (``PYTHONHASHSEED``, worker-process
 fan-out).
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from repro.bench.families import (
 from repro.bench.stack import generate_family_stack
 from repro.netlist.topology import combinational_levels
 from repro.netlist.validate import validate_netlist
-from repro.runtime.parallel import parallel_map
+from repro.runtime.supervisor import SupervisorPolicy, supervised_map
 from repro.util.errors import ReproError
 from repro.verify.instances import InstanceSpec
 
@@ -219,7 +220,7 @@ class TestDensities:
 # Determinism
 # ---------------------------------------------------------------------------
 def _fingerprint_cell(cell):
-    """Module-level so parallel_map worker processes can import it."""
+    """Module-level so supervised_map worker processes can import it."""
     family, seed = cell
     return netlist_fingerprint(generate_family_die(
         family, FamilySpec(gates=60, ffs=4, tsv_in=2, tsv_out=2),
@@ -253,8 +254,12 @@ class TestDeterminism:
 
     def test_jobs_do_not_change_bytes(self):
         cells = [(family, 5) for family in FAMILIES]
-        serial = parallel_map(_fingerprint_cell, cells, jobs=1)
-        parallel = parallel_map(_fingerprint_cell, cells, jobs=2)
+        policy = dataclasses.replace(SupervisorPolicy.from_config(),
+                                     strict=True, checkpoint_dir=None)
+        serial = supervised_map(_fingerprint_cell, cells, jobs=1,
+                                policy=policy).results_or_raise()
+        parallel = supervised_map(_fingerprint_cell, cells, jobs=2,
+                                  policy=policy).results_or_raise()
         assert serial == parallel
 
     @pytest.mark.parametrize("hashseed", ["0", "424242"])

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import Scenario, WcmConfig
 from repro.core.flow import decide_order, measure_testability, run_wcm_flow
-from repro.core.li import run_li_reuse_once
 from repro.dft.wrapper import dedicated_plan
 from repro.atpg.engine import AtpgConfig
 from repro.netlist.core import PortKind
@@ -104,27 +103,6 @@ class TestRepair:
         run = run_wcm_flow(problem, config)
         # without repair the raw plan may violate, but must be complete
         run.plan.validate(problem.netlist)
-
-
-class TestLiBaseline:
-    def test_reuse_once_properties(self, medium_problem):
-        config = WcmConfig.agrawal(Scenario.area_optimized())
-        plan = run_li_reuse_once(medium_problem, config)
-        plan.validate(medium_problem.netlist)
-        # no sharing at all: every group is a singleton
-        assert all(len(g.tsvs) == 1 for g in plan.groups)
-        # each FF used at most once across the whole plan
-        ffs = [g.reused_ff for g in plan.groups if g.reused_ff]
-        assert len(ffs) == len(set(ffs))
-
-    def test_li_worse_than_agrawal(self, medium_problem, area_runs):
-        """[3] reuses each FF once; [4] shares — so [4] needs fewer
-        additional cells."""
-        agrawal, _ours = area_runs
-        config = WcmConfig.agrawal(Scenario.area_optimized())
-        li_plan = run_li_reuse_once(medium_problem, config)
-        assert agrawal.additional_wrapper_cells \
-            <= li_plan.additional_wrapper_cells
 
 
 class TestTestabilityMeasurement:

@@ -15,7 +15,6 @@ from repro.netlist.core import PortKind
 from repro.netlist.validate import validate_netlist
 from repro.place.placer import place_die
 from repro.sta.timer import TimingAnalyzer, default_case
-from repro.threed.partition import PartitionConfig, partition_into_stack
 
 
 class TestFullFlowOnFreshDie:
@@ -79,21 +78,6 @@ class TestFullFlowOnFreshDie:
             changed = circuit.propagate_values(good, {nid: mask}, mask)
             assert not circuit.observation_diffs(good, changed), \
                 f"floating TSV {net} leaks into an observation point"
-
-
-class TestStackLevelFlow:
-    def test_partition_then_wrap_each_die(self):
-        flat = generate_die(die_profile("b11", 0), seed=13)
-        stack, _assignment = partition_into_stack(
-            flat, PartitionConfig(num_dies=2, seed=13))
-        area = Scenario.area_optimized()
-        for die in stack.dies:
-            if die.tsv_count == 0 or not die.scan_flip_flops():
-                continue
-            problem = build_problem(die)
-            run = run_wcm_flow(problem, WcmConfig.ours(area))
-            run.plan.validate(die)
-            assert run.additional_wrapper_cells <= die.tsv_count
 
 
 class TestDualModeSignoff:

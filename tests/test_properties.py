@@ -191,7 +191,7 @@ def _apply_ops(registry, ops):
        order_seed=st.integers(min_value=0, max_value=10**6))
 def test_metric_rollup_order_independent(ops, cuts, order_seed):
     """Partitioning ops across registries and merging in any order —
-    the parallel_map completion-order situation — rolls up identically
+    the supervised-sweep completion-order situation — rolls up identically
     to a serial registry (integer values, so sums are exact)."""
     from repro.runtime.trace import MetricsRegistry
 

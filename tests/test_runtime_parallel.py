@@ -1,4 +1,4 @@
-"""Tests for the deterministic parallel map and the instrumentation."""
+"""Tests for the strict supervised map and the instrumentation."""
 
 import random
 from dataclasses import replace
@@ -8,9 +8,17 @@ from repro.core.flow import run_wcm_flow
 from repro.experiments import run_table3
 from repro.experiments.common import SCALES
 from repro.runtime import trace
-from repro.runtime.parallel import cell_seed, parallel_map
+from repro.runtime.supervisor import SupervisorPolicy, cell_seed, supervised_map
 
 B11_ONLY = replace(SCALES["smoke"], circuits=("b11",))
+
+
+def _strict_map(fn, cells, jobs, seed=0):
+    """Every result in order, or the first terminal failure raised."""
+    policy = replace(SupervisorPolicy.from_config(), strict=True,
+                     checkpoint_dir=None)
+    return supervised_map(fn, cells, jobs=jobs, seed=seed,
+                          policy=policy).results_or_raise()
 
 
 def _square(value):
@@ -24,17 +32,17 @@ def _draw(_cell):
 class TestParallelMap:
     def test_order_preserved(self):
         cells = list(range(12))
-        assert parallel_map(_square, cells, jobs=1) == \
-            parallel_map(_square, cells, jobs=3) == \
+        assert _strict_map(_square, cells, jobs=1) == \
+            _strict_map(_square, cells, jobs=3) == \
             [v * v for v in cells]
 
     def test_per_cell_seeding_matches_serial(self):
-        serial = parallel_map(_draw, range(6), jobs=1, seed=7)
-        parallel = parallel_map(_draw, range(6), jobs=2, seed=7)
+        serial = _strict_map(_draw, range(6), jobs=1, seed=7)
+        parallel = _strict_map(_draw, range(6), jobs=2, seed=7)
         assert serial == parallel
         # distinct deterministic stream per cell, and per root seed
         assert len(set(serial)) == len(serial)
-        assert parallel_map(_draw, range(6), jobs=1, seed=8) != serial
+        assert _strict_map(_draw, range(6), jobs=1, seed=8) != serial
 
     def test_cell_seed_is_stable(self):
         assert cell_seed(2019, 3) == cell_seed(2019, 3)
@@ -42,7 +50,7 @@ class TestParallelMap:
         assert cell_seed(2019, 3) != cell_seed(2020, 3)
 
     def test_single_cell_stays_serial(self):
-        assert parallel_map(_square, [5], jobs=8) == [25]
+        assert _strict_map(_square, [5], jobs=8) == [25]
 
 
 class TestParallelDrivers:

@@ -9,7 +9,6 @@ from repro.netlist.core import PortKind
 from repro.place.placer import place_die
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED, tight_period_for
 from repro.sta.delay import LOAD_ONLY_WIRE_MODEL, WireModel
-from repro.sta.report import TimingReport, render_timing_report
 from repro.sta.timer import TimingAnalyzer, default_case
 from repro.util.errors import TimingError
 
@@ -154,14 +153,3 @@ class TestCaseAnalysis:
         # AND with constant-0 input: output constant, endpoint untimed
         assert result.endpoints == [] or all(
             e.name != "po__port" for e in result.endpoints)
-
-
-class TestReport:
-    def test_render_contains_summary(self, tiny_netlist):
-        result = TimingAnalyzer(tiny_netlist).analyze(
-            ClockConstraint(period_ps=500.0))
-        text = render_timing_report(result)
-        assert "critical path" in text
-        assert "endpoints" in text
-        report = TimingReport.from_result(result)
-        assert report.endpoint_count == len(result.endpoints)

@@ -1,100 +1,10 @@
-"""Tests for 3D partitioning and stack modelling."""
+"""Tests for the die-stack model."""
 
 import pytest
 
-from repro.bench.generator import generate_die
-from repro.bench.itc99 import die_profile
 from repro.bench.stack import generate_stack
-from repro.netlist.core import PortKind
-from repro.netlist.validate import validate_netlist
-from repro.threed.model import Stack3D, TsvLink
-from repro.threed.partition import PartitionConfig, bisect_instances, partition_into_stack
+from repro.threed.model import TsvLink
 from repro.util.errors import PartitionError
-from repro.util.rng import DeterministicRng
-
-
-@pytest.fixture(scope="module")
-def flat_circuit():
-    """A small flat 2D circuit (b11_die1 reused as a 2D netlist)."""
-    return generate_die(die_profile("b11", 1), seed=9)
-
-
-class TestBisection:
-    def test_balanced_split(self, flat_circuit):
-        members = sorted(flat_circuit.instances.keys())
-        a, b = bisect_instances(flat_circuit, members, DeterministicRng(1))
-        assert abs(len(a) - len(b)) <= max(2, 0.2 * len(members))
-        assert a | b == set(members)
-        assert not (a & b)
-
-    def test_cut_not_worse_than_random(self, flat_circuit):
-        members = sorted(flat_circuit.instances.keys())
-        rng = DeterministicRng(1)
-        a, _b = bisect_instances(flat_circuit, members, rng)
-
-        def cut_size(side):
-            cut = 0
-            for net in flat_circuit.nets.values():
-                cells = {p.owner_name for p in net.sinks if not p.is_port}
-                if net.driver is not None and not net.driver.is_port:
-                    cells.add(net.driver.owner_name)
-                cells &= set(members)
-                if cells and (cells & side) and (cells - side):
-                    cut += 1
-            return cut
-
-        shuffled = DeterministicRng(2).shuffled(members)
-        random_side = set(shuffled[:len(members) // 2])
-        assert cut_size(a) <= cut_size(random_side)
-
-    def test_tiny_group_rejected(self, flat_circuit):
-        with pytest.raises(PartitionError):
-            bisect_instances(flat_circuit, ["ff0"], DeterministicRng(1))
-
-
-class TestPartitionIntoStack:
-    def test_four_die_partition(self, flat_circuit):
-        stack, assignment = partition_into_stack(
-            flat_circuit, PartitionConfig(num_dies=4, seed=5))
-        assert stack.die_count == 4
-        assert set(assignment.values()) == {0, 1, 2, 3}
-        # every instance lands somewhere
-        assert len(assignment) == len(flat_circuit.instances)
-
-    def test_cut_nets_become_tsvs(self, flat_circuit):
-        stack, assignment = partition_into_stack(
-            flat_circuit, PartitionConfig(num_dies=2, seed=5))
-        total_in = sum(len(d.inbound_tsvs()) for d in stack.dies)
-        total_out = sum(len(d.outbound_tsvs()) for d in stack.dies)
-        assert total_in > 0 and total_out > 0
-        # one link per NEW inbound TSV (the source circuit's own TSV
-        # ports carry over into the dies without links)
-        original_in = len(flat_circuit.inbound_tsvs())
-        assert len(stack.links) == total_in - original_in
-
-    def test_dies_validate(self, flat_circuit):
-        stack, _ = partition_into_stack(flat_circuit,
-                                        PartitionConfig(num_dies=2, seed=5))
-        for die in stack.dies:
-            validate_netlist(die)
-
-    def test_clock_replicated_not_tsv(self, flat_circuit):
-        stack, _ = partition_into_stack(flat_circuit,
-                                        PartitionConfig(num_dies=2, seed=5))
-        for die in stack.dies:
-            if die.flip_flops():
-                clocks = die.ports_of_kind(PortKind.CLOCK)
-                assert len(clocks) == 1
-
-    def test_gate_conservation(self, flat_circuit):
-        stack, _ = partition_into_stack(flat_circuit,
-                                        PartitionConfig(num_dies=4, seed=5))
-        assert sum(d.gate_count for d in stack.dies) \
-            == flat_circuit.gate_count
-
-    def test_non_power_of_two_rejected(self, flat_circuit):
-        with pytest.raises(PartitionError):
-            partition_into_stack(flat_circuit, PartitionConfig(num_dies=3))
 
 
 class TestGeneratedStack:
