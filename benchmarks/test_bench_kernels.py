@@ -103,7 +103,7 @@ def test_bench_event_propagation(benchmark, kernel_die):
 
 
 def test_bench_graph_timed(benchmark, kernel_problem):
-    """Grid-indexed edge sweep under the tight clock (distance active)."""
+    """The sharing-graph sweep under the tight clock (distance active)."""
     clock = tight_clock_for(kernel_problem)
     problem = kernel_problem.retime(clock)
     config = WcmConfig.ours(Scenario.performance_optimized(clock.period_ps))

@@ -20,7 +20,6 @@ pre-bond-untestable faults are excluded from the denominator (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 

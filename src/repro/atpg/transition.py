@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.atpg.engine import AtpgConfig, AtpgResult, _patterns_to_words
-from repro.atpg.faults import Fault, FaultKind, FaultList, Polarity, build_fault_list
+from repro.atpg.faults import Fault, FaultKind, Polarity, build_fault_list
 from repro.atpg.podem import PodemGenerator
 from repro.atpg.sim import BlockDetector, CompiledCircuit
 from repro.dft.testview import TestView

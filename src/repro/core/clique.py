@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.graph import WcmGraph

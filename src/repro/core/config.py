@@ -24,7 +24,7 @@ Method presets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.netlist.library import DEFAULT_CAP_TH_FF

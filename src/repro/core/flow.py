@@ -35,7 +35,6 @@ from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
 from repro.dft.wrapper import InsertionReport, WrapperGroup, WrapperPlan, insert_wrappers
 from repro.netlist.core import Netlist, PortKind
-from repro.netlist.topology import fanin_cone
 from repro.runtime import trace
 from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.errors import ConfigError

@@ -16,10 +16,9 @@ from typing import Dict, List, Optional
 from repro.dft.cones import ConeAnalysis
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.wrapper import dedicated_plan, insert_wrappers
-from repro.netlist.core import Netlist, Port, PortKind
+from repro.netlist.core import Netlist, PortKind
 from repro.place.placer import PlacementConfig, place_die
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED, tight_period_for
-from repro.sta.delay import WireModel
 from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.errors import ConfigError
 

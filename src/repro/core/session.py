@@ -15,12 +15,12 @@ re-solving incrementally:
   ``analyze_delta`` instead of full sweeps.
 * **Dirty region.** Per-node signatures capture everything the pair
   feasibility checks read (position, baseline arrivals/requireds,
-  loads). Memoized pair outcomes (timing and cone-overlap rejections,
-  clean edges, testability estimates) survive between solves for node
-  pairs whose signatures did not change, and the previous sharing
-  graph is replayed pair by pair with only the dirty pairs
-  re-considered, so rejection statistics and trace counters come out
-  identical to a cold build.
+  loads). Each direction keeps the pair log of its last sharing-graph
+  build (:class:`repro.core.graph.PairLog`: every pair's distance and
+  its outcome before ``d_th`` applies); the next build re-evaluates
+  only the pairs touching a dirty node and re-tallies the rest under
+  the current thresholds, so rejection statistics and trace counters
+  come out identical to a cold build, ``d_th`` re-tunes included.
 * **Partition reuse.** ``merged_state`` outcomes are memoized on state
   values (:func:`repro.core.clique._merged_state_fn`); when an edit
   leaves a kind's graph and node states untouched,
@@ -32,8 +32,8 @@ re-solving incrementally:
   skipping insertion, restitching and full STA.
 * **Fallback.** Structural edits (``AddTsv``/``RemoveTsv``), a scan
   restitch-order change, or a dirty fraction above ``fallback_ratio``
-  drop the scoped path and re-solve cold (the memo caches are rebuilt
-  on the way through).
+  drop the scoped path and re-solve cold (the pair logs and other
+  memos are rebuilt on the way through).
 
 Every scoped mechanism is differentially verified against a cold solve
 as the oracle — results, per-category stats and manifest fingerprints
@@ -43,17 +43,13 @@ must be byte-identical (``repro.verify`` check ``eco``).
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.clique import CliquePartition, Clique, partition_cliques, repartition
 from repro.core.config import WcmConfig
 from repro.core.flow import FlowHooks, WcmRunResult, run_wcm_flow
-from repro.core.graph import (GraphStats, WcmGraph, _REJ_DISTANCE,
-                              _bucket_candidates, _cone_bitsets,
-                              apply_outcome, build_wcm_graph,
-                              effective_d_th, pair_outcome)
+from repro.core.graph import PairLog, WcmGraph, build_wcm_graph
 from repro.core.problem import WcmProblem, build_problem
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
@@ -140,22 +136,6 @@ class _WrappedBuild:
     order: List[str]
     #: bare anchor name -> wrapper instances placed at it
     anchors_rev: Dict[str, List[str]]
-
-
-@dataclass
-class _GraphCache:
-    """One kind's previous sharing-graph build, replayable pair by
-    pair. ``pair_log`` maps every visited candidate pair to its
-    outcome (see :func:`repro.core.graph.build_wcm_graph`); a re-solve
-    purges entries touching dirty nodes, re-considers only the pairs a
-    fresh grid query yields for them, and re-tallies the rest."""
-
-    ffs: List[str]
-    tsvs: List[str]
-    excluded: List[str]
-    pair_log: Dict[Tuple[str, str, bool], object]
-    d_th: float
-    check_distance: bool
 
 
 _SCAN_PORT_KINDS = (PortKind.SCAN_IN, PortKind.SCAN_OUT,
@@ -260,9 +240,8 @@ class WcmSession:
                 netlist, clock=self._clock, placement=placement,
                 already_prepared=already_prepared)
         # cross-solve memos
-        self._edge_memo: Dict = {}
         self._merge_memo: Dict = {}
-        self._graph_cache: Dict[PortKind, _GraphCache] = {}
+        self._pair_logs: Dict[PortKind, PairLog] = {}
         self._frozen: Dict[PortKind, Tuple[object, CliquePartition]] = {}
         self._plan_cache: Dict[tuple, _WrappedBuild] = {}
         self._node_sigs: Dict[str, tuple] = {}
@@ -384,12 +363,6 @@ class WcmSession:
             model = ReuseTimingModel(self.problem, self.config)
             sigs = self._node_signatures(model)
             dirty = set(sigs)
-        if dirty:
-            memo = self._edge_memo
-            stale = [key for key in memo
-                     if key[1] in dirty or key[2] in dirty]
-            for key in stale:
-                del memo[key]
         self._node_sigs = sigs
         self._solve_model = model
         self._solve_dirty = dirty
@@ -409,8 +382,7 @@ class WcmSession:
                                      already_prepared=True)
         self._base_rev = _reverse_anchors(self.problem.dedicated_anchors)
         self._base_order = self._dedicated_order()
-        self._edge_memo.clear()
-        self._graph_cache.clear()
+        self._pair_logs.clear()
         self._frozen.clear()
         self._node_sigs.clear()
         if self._structural:
@@ -553,142 +525,10 @@ class WcmSession:
     def _build_graph(self, problem: WcmProblem, kind: PortKind,
                      available_ffs, config: WcmConfig,
                      model: ReuseTimingModel, estimator) -> WcmGraph:
-        """Build one direction's sharing graph, replaying the previous
-        build's pair log when possible (see :class:`_GraphCache`)."""
-        d_th = effective_d_th(problem, config)
-        check_distance = math.isfinite(d_th) and config.scenario.is_timed
-        cache = self._graph_cache.get(kind)
-        if cache is not None and cache.d_th == d_th \
-                and cache.check_distance == check_distance:
-            graph = self._replay_graph(problem, kind, available_ffs,
-                                       config, model, estimator, cache,
-                                       d_th, check_distance)
-            if graph is not None:
-                return graph
-        pair_log: Dict[Tuple[str, str, bool], object] = {}
-        graph = build_wcm_graph(problem, kind, available_ffs, config,
-                                model, estimator,
-                                edge_memo=self._edge_memo,
-                                pair_log=pair_log)
-        self._graph_cache[kind] = _GraphCache(
-            ffs=[n for n in graph.nodes if graph.is_ff[n]],
-            tsvs=[n for n in graph.nodes if not graph.is_ff[n]],
-            excluded=list(graph.excluded_tsvs),
-            pair_log=pair_log, d_th=d_th,
-            check_distance=check_distance)
-        return graph
-
-    def _replay_graph(self, problem: WcmProblem, kind: PortKind,
-                      available_ffs, config: WcmConfig,
-                      model: ReuseTimingModel, estimator,
-                      cache: _GraphCache, d_th: float,
-                      check_distance: bool) -> Optional[WcmGraph]:
-        """Re-derive the sharing graph from *cache*'s pair log.
-
-        Node eligibility is re-run fresh (it reads the dedicated-cell
-        baseline, which the edit may have shifted); any membership
-        change voids the cache — ``None`` means build cold. Otherwise
-        pairs touching a dirty node are purged and re-considered via
-        the same spatial-hash candidate query, exact distance check and
-        :func:`pair_outcome` rules as the full sweep, then every logged
-        outcome is re-tallied through :func:`apply_outcome` — stats,
-        counters and coverage-drop observations match a cold build.
-        """
-        tsvs: List[str] = []
-        excluded: List[str] = []
-        for tsv in problem.tsvs_of_kind(kind):
-            if kind is PortKind.TSV_INBOUND:
-                eligible = model.inbound_node_eligible(tsv)
-            else:
-                eligible = model.outbound_node_eligible(tsv)
-            (tsvs if eligible else excluded).append(tsv)
-        ffs = list(available_ffs)
-        if ffs != cache.ffs or tsvs != cache.tsvs \
-                or excluded != cache.excluded:
-            return None
-        nodes = ffs + tsvs
-        is_ff = {name: True for name in ffs}
-        is_ff.update({name: False for name in tsvs})
-        cones = _cone_bitsets(problem, nodes, kind)
-        pair_log = cache.pair_log
-        dirty = self._solve_dirty
-        touched = [name for name in nodes if name in dirty]
-        if touched:
-            stale = [key for key in pair_log
-                     if key[0] in dirty or key[1] in dirty]
-            for key in stale:
-                del pair_log[key]
-
-            def reconsider(name_a: str, name_b: str,
-                           a_is_ff: bool) -> None:
-                key = (name_a, name_b, a_is_ff)
-                if key in pair_log:
-                    return  # both endpoints dirty: visited once
-                if check_distance \
-                        and model.distance_um(name_a, name_b) >= d_th:
-                    pair_log[key] = _REJ_DISTANCE
-                else:
-                    pair_log[key] = pair_outcome(
-                        problem, config, model, estimator, cones, kind,
-                        name_a, name_b, a_is_ff, self._edge_memo)
-
-            index_of = {name: j for j, name in enumerate(tsvs)}
-
-            def tsv_pair(i: int, jd: int) -> None:
-                a, b = (i, jd) if i < jd else (jd, i)
-                reconsider(tsvs[a], tsvs[b], False)
-
-            if not check_distance:
-                for name in touched:
-                    if is_ff[name]:
-                        for tsv in tsvs:
-                            reconsider(name, tsv, True)
-                    else:
-                        jd = index_of[name]
-                        for i in range(len(tsvs)):
-                            if i != jd:
-                                tsv_pair(i, jd)
-                        for ff in ffs:
-                            reconsider(ff, name, True)
-            elif d_th > 0.0:
-                candidates = _bucket_candidates(tsvs,
-                                                problem.location_of,
-                                                d_th)
-                for name in touched:
-                    if is_ff[name]:
-                        for j in candidates(name):
-                            reconsider(name, tsvs[j], True)
-                    else:
-                        jd = index_of[name]
-                        for i in candidates(name):
-                            if i != jd:
-                                tsv_pair(i, jd)
-                        for ff in ffs:
-                            if jd in candidates(ff):
-                                reconsider(ff, name, True)
-            # check_distance with d_th <= 0: every pair is rejected
-            # arithmetically; nothing to re-consider.
-
-        stats = GraphStats(nodes=len(nodes), ff_nodes=len(ffs),
-                           tsv_nodes=len(tsvs),
-                           excluded_tsvs=len(excluded))
-        adjacency: Dict[str, Set[str]] = {name: set() for name in nodes}
-        for (name_a, name_b, _a_is_ff), outcome in pair_log.items():
-            apply_outcome(outcome, name_a, name_b, adjacency, stats,
-                          config)
-        total_pairs = (len(tsvs) * (len(tsvs) - 1) // 2
-                       + len(ffs) * len(tsvs))
-        candidate_pairs = len(pair_log)
-        stats.rejected_distance += total_pairs - candidate_pairs
-        trace.inc("graph.grid_candidate_pairs", candidate_pairs)
-        trace.inc("graph.grid_skipped_pairs",
-                  total_pairs - candidate_pairs)
-        trace.inc("session.graph_replays")
-        if trace.active() is not None:
-            trace.observe("graph.edges", stats.edges)
-        return WcmGraph(kind=kind, nodes=nodes, is_ff=is_ff,
-                        adjacency=adjacency, excluded_tsvs=excluded,
-                        stats=stats)
+        return build_wcm_graph(
+            problem, kind, available_ffs, config, model, estimator,
+            pair_log=self._pair_logs.setdefault(kind, PairLog()),
+            dirty=self._solve_dirty)
 
     def _partition(self, graph: WcmGraph,
                    model: ReuseTimingModel) -> CliquePartition:

@@ -11,7 +11,7 @@ area, so "0.92%–6.01% fewer wrapper cells" can be read in um² too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.dft.wrapper import InsertionReport, WrapperPlan
 from repro.netlist.core import Netlist, PortKind

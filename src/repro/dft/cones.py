@@ -16,7 +16,7 @@ cached; pair overlap tests are then set intersections.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 from repro.netlist.core import Netlist, PortKind
 from repro.netlist.topology import fanin_cone, fanout_cone

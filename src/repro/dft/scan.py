@@ -10,8 +10,8 @@ cells, after which the flow unstitches and restitches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.netlist.core import Instance, Netlist, PortKind
 from repro.util.errors import NetlistError

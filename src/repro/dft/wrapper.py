@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.core import Instance, Netlist, Pin, PortKind
+from repro.netlist.core import Instance, Netlist, PortKind
 from repro.util.errors import NetlistError
 
 

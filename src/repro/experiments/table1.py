@@ -14,7 +14,7 @@ both orders produce identical plans by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEED,

@@ -13,7 +13,7 @@ The headline reproduction targets (paper values in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEED,

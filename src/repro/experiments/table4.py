@@ -10,7 +10,7 @@ reusing FFs with overlapped cones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEED,

@@ -8,7 +8,7 @@ the output net", automatic unique naming, and scan-FF creation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.netlist.core import Instance, Netlist, PortKind
 from repro.netlist.library import Library, default_library

@@ -17,9 +17,9 @@ endpoints included, so overlap tests are set intersections.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Set
 
-from repro.netlist.core import Netlist, Pin, PortDirection
+from repro.netlist.core import Netlist, PortDirection
 from repro.util.errors import NetlistError
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.netlist.core import Netlist, PortDirection
+from repro.netlist.core import Netlist
 from repro.netlist.library import PinDirection
 from repro.netlist.topology import topological_instances
 from repro.util.errors import NetlistError

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.core import Netlist, Port, PortKind
+from repro.netlist.core import Netlist
 from repro.util.rng import DeterministicRng
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
-import os
 import pickle
 import random
 import struct

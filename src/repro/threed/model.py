@@ -10,7 +10,7 @@ is per-die; the links record how the generated stack is bonded, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.netlist.core import Netlist, PortKind
 from repro.util.errors import PartitionError

@@ -309,7 +309,7 @@ def check_sta_reuse(subject: Subject) -> List[str]:
 
 
 def check_graph(subject: Subject) -> List[str]:
-    """Grid-indexed sweep vs the O(n^2) oracle, for both TSV
+    """The sharing-graph sweep vs the O(n^2) oracle, for both TSV
     directions."""
     out: List[str] = []
     problem = subject.problem
@@ -380,7 +380,7 @@ def _transformed_problem(subject: Subject, transform) -> WcmProblem:
     2 fF load on whichever FF comes last, so rotating the die moves
     that load and legitimately shifts the baseline STA. The honest
     invariant transforms only the geometry Algorithm 1 consumes
-    (node locations, grid buckets, ``d_th`` span) over the same
+    (node locations, pair distances, ``d_th`` span) over the same
     timing database.
     """
     from repro.dft.cones import ConeAnalysis
@@ -407,9 +407,8 @@ def check_metamorphic_isometry(subject: Subject) -> List[str]:
     identical: both maps preserve every Manhattan distance *exactly*
     in IEEE arithmetic (the coordinate differences are the same two
     floats, negated and/or added in swapped order), so every distance
-    threshold, spatial-hash candidate superset and anchor-span term
-    decides identically. (Translation is deliberately NOT used:
-    ``(x+t)-(y+t)`` rounds.)
+    threshold and anchor-span term decides identically. (Translation
+    is deliberately NOT used: ``(x+t)-(y+t)`` rounds.)
     """
     out: List[str] = []
     ffs = list(subject.problem.scan_ffs)
@@ -505,8 +504,8 @@ def check_metamorphic_isolated_ff(subject: Subject) -> List[str]:
 # ---------------------------------------------------------------------------
 #: counter families that legitimately differ between a warm session
 #: solve and a cold one (cache hit counts, delta-STA call counts);
-#: everything else — clique merges, flow ECO rounds, grid pair splits —
-#: must match exactly
+#: everything else — clique merges, flow ECO rounds, graph edges and
+#: rejections — must match exactly
 _ECO_VOLATILE_COUNTERS = ("sta.", "session.", "atpg.",
                           "graph.cone_bitset_builds")
 

@@ -37,17 +37,23 @@ def _mutant_sim_opcode_swap() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _mutant_grid_dropped_cell() -> Iterator[None]:
-    """The spatial hash scans a truncated neighbourhood: pairs in the
-    ``-1`` bucket row/column are misclassified as distance-rejected."""
-    from repro.core import graph
+def _mutant_pair_log_ignores_dirty() -> Iterator[None]:
+    """Session graph builds replay their pair logs with an empty dirty
+    set: pairs touching a moved node keep their stale distance and
+    outcome."""
+    from repro.core import session
 
-    original = graph._GRID_OFFSETS
-    graph._GRID_OFFSETS = (0, 1)
+    original = session.build_wcm_graph
+
+    def forgetful(*args, **kwargs):
+        kwargs["dirty"] = frozenset()
+        return original(*args, **kwargs)
+
+    session.build_wcm_graph = forgetful
     try:
         yield
     finally:
-        graph._GRID_OFFSETS = original
+        session.build_wcm_graph = original
 
 
 @contextlib.contextmanager
@@ -288,8 +294,9 @@ def _mutant_wrapper_reuse_mux_swapped() -> Iterator[None]:
 MUTANTS: Dict[str, tuple] = {
     "sim-opcode-swap": ("op-tape compiles AND2 as OR2",
                         _mutant_sim_opcode_swap),
-    "grid-dropped-cell": ("grid sweep drops the -1 bucket offsets",
-                          _mutant_grid_dropped_cell),
+    "pair-log-ignores-dirty": ("session graph builds replay with an "
+                               "empty dirty set",
+                               _mutant_pair_log_ignores_dirty),
     "sta-stale-cache": ("TimingContext.invalidate_nets is a no-op",
                         _mutant_sta_stale_cache),
     "obs-branch-dead": ("observation_diff always reports undetected",

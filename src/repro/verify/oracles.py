@@ -25,9 +25,9 @@ PODEM test generation           each detected cube replayed through
 levelized STA with reusable     path-enumeration: memoized recursion
 context (``sta/timer.py``)      over the netlist, all loads and wire
                                 delays recomputed from scratch
-grid-indexed sharing-graph      O(n^2) sweep over all pairs with
-sweep (``core/graph.py``) and   frozenset cone intersection (no
-its hoisted timing checks       spatial hash, no bitsets) and every
+sharing-graph sweep             O(n^2) sweep over all pairs with
+(``core/graph.py``) and its     frozenset cone intersection (no
+hoisted timing checks           bitsets, no pair log) and every
 (``core/timing_model.py``)      timing term derived per pair (no
                                 per-node caches)
 heuristic clique partition      exact minimum clique partition by
@@ -669,7 +669,7 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
                        estimator: Optional[OverlapTestabilityEstimator] = None
                        ) -> WcmGraph:
     """Algorithm 1 without the kernels: every pair visited explicitly
-    (no spatial hash), cone overlap via frozenset intersection (no
+    (no pair log), cone overlap via frozenset intersection (no
     bitsets), distances straight from coordinates (no memo).
 
     The timing check is :func:`oracle_pair_feasible`, the per-pair

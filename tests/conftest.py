@@ -41,7 +41,7 @@ def kernel(request):
 
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
-from repro.core.config import Scenario, WcmConfig
+from repro.core.config import Scenario
 from repro.core.problem import build_problem, tight_clock_for
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view

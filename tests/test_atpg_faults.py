@@ -1,11 +1,7 @@
 """Tests for fault-universe construction and collapsing."""
 
-import pytest
-
 from repro.atpg.faults import (
-    Fault,
     FaultKind,
-    Polarity,
     build_fault_list,
 )
 from repro.dft.testview import build_prebond_test_view

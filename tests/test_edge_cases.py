@@ -10,11 +10,9 @@ from repro.core.flow import run_wcm_flow
 from repro.core.graph import build_wcm_graph
 from repro.core.problem import build_problem
 from repro.core.timing_model import ReuseTimingModel
-from repro.dft.scan import stitch_scan_chains
 from repro.dft.wrapper import WrapperPlan, insert_wrappers
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.core import PortKind
-from repro.place.placer import place_die
 from repro.util.errors import NetlistError
 
 

@@ -7,7 +7,6 @@ from repro.bench.families import netlist_fingerprint
 from repro.bench.generator import DieGeneratorConfig, generate_die
 from repro.bench.itc99 import (
     CIRCUITS,
-    TABLE_II,
     all_die_profiles,
     average_stats,
     die_profile,

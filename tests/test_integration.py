@@ -8,12 +8,8 @@ from repro.bench.itc99 import die_profile
 from repro.core.config import Scenario, WcmConfig
 from repro.core.flow import run_wcm_flow
 from repro.core.problem import build_problem, tight_clock_for
-from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
-from repro.dft.wrapper import dedicated_plan, insert_wrappers
-from repro.netlist.core import PortKind
 from repro.netlist.validate import validate_netlist
-from repro.place.placer import place_die
 from repro.sta.timer import TimingAnalyzer, default_case
 
 

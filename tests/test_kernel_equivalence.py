@@ -1,11 +1,12 @@
 """Equivalence of the kernelized hot loops with their reference forms.
 
 Three kernels were specialized for speed (DESIGN.md §6): the op-tape
-block simulator, the reusable STA context, and the grid-indexed graph
-sweep. Each must be *byte-identical* to a straightforward reference —
-the truth-table simulation and O(n^2) graph oracles of
-:mod:`repro.verify.oracles`, a fresh STA analyzer — and these tests pin
-that down on random circuits and on a real die.
+block simulator, the reusable STA context, and the sharing-graph
+sweep with its pair-log replay. Each must be *byte-identical* to a
+straightforward reference — the truth-table simulation and O(n^2)
+graph oracles of :mod:`repro.verify.oracles`, a fresh STA analyzer, a
+build without a log — and these tests pin that down on random circuits
+and on a real die.
 """
 
 import dataclasses
@@ -18,12 +19,14 @@ from repro.atpg.sim import BlockDetector, CompiledCircuit
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
 from repro.core.config import Scenario, WcmConfig
-from repro.core.graph import build_wcm_graph
+from repro.core.graph import PairLog, build_wcm_graph, effective_d_th
 from repro.core.problem import build_problem, tight_clock_for
+from repro.core.testability import OverlapTestabilityEstimator
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.core import PortKind
 from repro.place.placer import place_die
+from repro.runtime import trace
 from repro.sta.constraints import ClockConstraint
 from repro.sta.timer import TimingAnalyzer, TimingContext, default_case
 from repro.util.rng import DeterministicRng
@@ -168,7 +171,7 @@ def test_context_full_invalidation(medium_die):
 
 
 # ---------------------------------------------------------------------------
-# Grid-indexed edge sweep vs the brute-force O(n^2) oracle
+# Sharing-graph sweep vs the brute-force O(n^2) oracle
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def timed_problem(medium_die):
@@ -180,6 +183,9 @@ def timed_problem(medium_die):
                                   PortKind.TSV_OUTBOUND])
 @pytest.mark.parametrize("d_th_fraction", [0.05, 0.15, 0.4, 1.0])
 def test_grid_sweep_matches_brute_force(timed_problem, kind, d_th_fraction):
+    """The sweep equals the oracle at distance limits from 5 % to 100 %
+    of the die's half-perimeter (the name is from the spatial hash the
+    sweep no longer has)."""
     period = timed_problem.timing.constraint.period_ps
     scenario = Scenario.performance_optimized(period)
     config = dataclasses.replace(WcmConfig.ours(scenario),
@@ -195,6 +201,7 @@ def test_grid_sweep_matches_brute_force(timed_problem, kind, d_th_fraction):
 
 
 def test_grid_sweep_zero_threshold_rejects_all_pairs(timed_problem):
+    """``d_th = 0`` rejects every pair on distance, as in the oracle."""
     period = timed_problem.timing.constraint.period_ps
     config = dataclasses.replace(
         WcmConfig.ours(Scenario.performance_optimized(period)),
@@ -205,3 +212,73 @@ def test_grid_sweep_zero_threshold_rejects_all_pairs(timed_problem):
                                config)
     assert grid.stats == brute.stats
     assert grid.stats.edges == 0
+
+
+# ---------------------------------------------------------------------------
+# Pair-log replay vs a build without a log
+# ---------------------------------------------------------------------------
+def _tight_config(problem, d_th_fraction=0.4):
+    period = problem.timing.constraint.period_ps
+    return dataclasses.replace(
+        WcmConfig.ours(Scenario.performance_optimized(period)),
+        d_th_fraction=d_th_fraction, d_th_um=math.inf)
+
+
+def _assert_same_graph(got, want):
+    assert got.nodes == want.nodes
+    assert got.adjacency == want.adjacency
+    assert got.stats == want.stats
+    assert got.excluded_tsvs == want.excluded_tsvs
+
+
+@pytest.mark.parametrize("kind", [PortKind.TSV_INBOUND,
+                                  PortKind.TSV_OUTBOUND])
+def test_pair_log_refills_for_a_shorter_ff_list(timed_problem, kind):
+    """A log filled for one FF list no longer matches a shorter one, so
+    the build sweeps every pair again and refills the log."""
+    config = _tight_config(timed_problem)
+    estimator = OverlapTestabilityEstimator(timed_problem)
+    ffs = list(timed_problem.scan_ffs)
+    log = PairLog()
+    build_wcm_graph(timed_problem, kind, ffs, config, estimator=estimator,
+                    pair_log=log)
+    with trace.collect() as collected:
+        got = build_wcm_graph(timed_problem, kind, ffs[1:], config,
+                              estimator=estimator, pair_log=log)
+    assert "session.graph_replays" not in collected.metrics.counters
+    assert log.ffs == ffs[1:]
+    assert len(log.pairs) == (got.stats.tsv_nodes
+                              * (got.stats.tsv_nodes - 1) // 2
+                              + got.stats.ff_nodes * got.stats.tsv_nodes)
+    _assert_same_graph(got, build_wcm_graph(timed_problem, kind, ffs[1:],
+                                            config, estimator=estimator))
+
+
+def test_pair_log_replays_moved_nodes(medium_die):
+    """A replay that re-evaluates the moved nodes' pairs equals a fresh
+    build; one that keeps their logged outcomes does not."""
+    problem = build_problem(medium_die.clone(), already_prepared=True)
+    problem = problem.retime(tight_clock_for(problem))
+    config = _tight_config(problem)
+    estimator = OverlapTestabilityEstimator(problem)
+    kind = PortKind.TSV_INBOUND
+    ffs = list(problem.scan_ffs)
+    log = PairLog()
+    build_wcm_graph(problem, kind, ffs, config, estimator=estimator,
+                    pair_log=log)
+    stale_log = PairLog(ffs=list(log.ffs), tsvs=list(log.tsvs),
+                        pairs=dict(log.pairs))
+    ff = problem.netlist.instances[ffs[0]]
+    tsv = problem.netlist.ports[log.tsvs[0]]
+    tsv.x, tsv.y = ff.x, ff.y
+    ff.x += 10.0 * effective_d_th(problem, config)
+    with trace.collect() as collected:
+        replay = build_wcm_graph(problem, kind, ffs, config,
+                                 estimator=estimator, pair_log=log,
+                                 dirty={ff.name, tsv.name})
+    assert collected.metrics.counters["session.graph_replays"] == 1
+    fresh = build_wcm_graph(problem, kind, ffs, config, estimator=estimator)
+    _assert_same_graph(replay, fresh)
+    stale = build_wcm_graph(problem, kind, ffs, config, estimator=estimator,
+                            pair_log=stale_log)
+    assert stale.stats != fresh.stats

@@ -1,9 +1,8 @@
 """Cross-cutting property-based tests on randomly built circuits."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atpg.engine import AtpgConfig, run_stuck_at_atpg
+from repro.atpg.engine import AtpgConfig
 from repro.atpg.sim import CompiledCircuit
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.builder import NetlistBuilder

@@ -9,6 +9,7 @@ the incremental path promises.
 import pytest
 
 from repro.core.flow import run_wcm_flow
+from repro.core.graph import effective_d_th
 from repro.core.problem import build_problem
 from repro.core.session import (AddTsv, MoveFf, MoveTsv, RemoveTsv,
                                 SetThreshold, WcmSession,
@@ -144,8 +145,8 @@ class TestTelemetry:
         assert session.edit_count == 2
 
     def test_graph_replay_counter(self):
-        """A pure-move edit replays cached sharing graphs instead of
-        rebuilding them."""
+        """A pure-move edit replays the sharing graphs' pair logs
+        instead of sweeping every pair again."""
         session = fresh_session()
         session.solve()
         ff = session.netlist.scan_flip_flops()[0]
@@ -155,6 +156,37 @@ class TestTelemetry:
         if session.last_fallback in (None, "restitch"):
             assert collected.metrics.counters.get(
                 "session.graph_replays", 0) >= 1
+
+    def test_d_th_retune_replays_pair_logs(self):
+        """Logged pair outcomes do not depend on ``d_th``, so a re-tune
+        replays both directions' logs and still equals a cold solve."""
+        session = fresh_session()
+        before = session.solve()
+        d_th = effective_d_th(session.problem, session.config)
+        session.apply(SetThreshold(d_th_um=0.5 * d_th))
+        with trace.collect() as collected:
+            after = session.solve()
+        assert collected.metrics.counters.get("session.graph_replays") == 2
+        assert result_fingerprint(after) == cold_fp(session)
+        # the re-tune moved pairs across the distance limit
+        rejected = [[stats.rejected_distance
+                     for stats in result.graph_stats.values()]
+                    for result in (before, after)]
+        assert rejected == [[0, 0], [7, 9]]
+
+
+class TestEcoCheck:
+    def test_pair_log_mutant_killed(self):
+        """Replaying the pair logs without the dirty set keeps a moved
+        node's stale distances and outcomes; the cold oracle of the
+        ``eco`` check sees it."""
+        from repro.verify.mutants import self_check
+
+        results = self_check(root_seed=0, budget=10, checks=["eco"],
+                             mutant_names=["pair-log-ignores-dirty"])
+        assert all(r.killed for r in results), \
+            [(r.name, r.killed) for r in results]
+        assert results[0].evidence.startswith("eco[")
 
 
 class TestEditValidation:

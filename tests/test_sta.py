@@ -6,7 +6,6 @@ import pytest
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.core import PortKind
-from repro.place.placer import place_die
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED, tight_period_for
 from repro.sta.delay import LOAD_ONLY_WIRE_MODEL, WireModel
 from repro.sta.timer import TimingAnalyzer, default_case

@@ -1,7 +1,6 @@
 """Tests for the reuse timing models (accurate vs load-only)."""
 
 import dataclasses
-import math
 
 import pytest
 

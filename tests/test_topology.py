@@ -3,7 +3,6 @@
 import pytest
 
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.core import PortKind
 from repro.netlist.topology import (
     combinational_levels,
     cones_overlap,

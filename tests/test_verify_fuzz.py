@@ -214,7 +214,7 @@ class TestFuzzCli:
     def test_fuzz_self_check_subset(self, capsys):
         code = main(["fuzz", "--self-check", "--budget", "8",
                      "--seed", "0", "--checks", "sim,graph,sta-reuse",
-                     "--mutants", "sim-opcode-swap,grid-dropped-cell,"
+                     "--mutants", "sim-opcode-swap,cone-bitset-alias,"
                                   "sta-stale-cache"])
         assert code == 0
         out = capsys.readouterr().out
