@@ -1,9 +1,9 @@
 """Micro-benchmarks of the substrate kernels.
 
 These time the hot loops every experiment leans on (packed fault
-simulation, STA, placement, clique partitioning) on a fixed mid-size
-die, so performance regressions in the substrates are visible
-independently of the table sweeps.
+simulation, STA, one sign-off build, placement, clique partitioning)
+on a fixed mid-size die, so performance regressions in the substrates
+are visible independently of the table sweeps.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
 from repro.core.clique import partition_cliques
 from repro.core.config import Scenario, WcmConfig
+from repro.core.flow import run_wcm_flow, signoff_build
 from repro.core.graph import build_wcm_graph
 from repro.core.problem import build_problem, tight_clock_for
 from repro.core.timing_model import ReuseTimingModel
@@ -54,6 +55,19 @@ def test_bench_sta(benchmark, kernel_die):
     timer = TimingAnalyzer(kernel_die)
     result = benchmark(timer.analyze)
     assert result.critical_path_ps > 0
+
+
+def test_bench_signoff_build(benchmark, kernel_problem):
+    """One round of the sign-off repair loop on the ours/tight plan:
+    insert the plan, restitch, build a fresh timing context and run
+    both sign-off analyses (functional and test mode)."""
+    clock = tight_clock_for(kernel_problem)
+    problem = kernel_problem.retime(clock)
+    config = WcmConfig.ours(Scenario.performance_optimized(clock.period_ps))
+    plan = run_wcm_flow(problem, config).plan
+    _wrapped, _report, functional, test = benchmark(
+        signoff_build, problem, plan, config)
+    assert not functional.has_violation and not test.has_violation
 
 
 def test_bench_packed_good_simulation(benchmark, kernel_die):

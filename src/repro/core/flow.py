@@ -20,8 +20,9 @@ For one prepared die and one method configuration:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.atpg.engine import AtpgConfig, AtpgResult, run_stuck_at_atpg
 from repro.atpg.transition import run_transition_atpg
@@ -138,15 +139,18 @@ def _adopt_ffs(problem: WcmProblem, graph, partition: CliquePartition,
 
 
 def _walk_critical_path(wrapped: Netlist, timing: TimingResult,
-                        endpoint_name: str, max_steps: int = 200):
-    """Instance names along the worst-arrival chain into an endpoint."""
+                        endpoint_name: str, max_steps: int = 200
+                        ) -> Iterator[str]:
+    """Instance names along the worst-arrival chain into an endpoint,
+    yielded lazily: the caller stops reading once it has chosen a
+    group. The chain follows a flip-flop's D pin past its Q, so an
+    unread walk runs on through the launching flops to *max_steps*."""
     if endpoint_name in wrapped.instances:
         current = wrapped.instances[endpoint_name].connections.get("D")
     elif endpoint_name in wrapped.ports:
         current = wrapped.ports[endpoint_name].net
     else:
-        return []
-    names = []
+        return
     for _ in range(max_steps):
         if current is None:
             break
@@ -154,7 +158,7 @@ def _walk_critical_path(wrapped: Netlist, timing: TimingResult,
         if net is None or net.driver is None or net.driver.is_port:
             break
         inst_name = net.driver.owner_name
-        names.append(inst_name)
+        yield inst_name
         inst = wrapped.instances[inst_name]
         candidates = [(pin, n) for pin, n in inst.input_nets()
                       if pin not in ("CK", "SE", "SI")]
@@ -162,7 +166,6 @@ def _walk_critical_path(wrapped: Netlist, timing: TimingResult,
             break
         current = max(candidates,
                       key=lambda pn: timing.arrival_ps.get(pn[1], 0.0))[1]
-    return names
 
 
 def _evict_violating_groups(wrapped: Netlist, report: InsertionReport,
@@ -188,7 +191,7 @@ def _evict_violating_groups(wrapped: Netlist, report: InsertionReport,
             break
         path = _walk_critical_path(wrapped, timing, endpoint.name)
         if endpoint.name in inst_to_group:
-            path = [endpoint.name] + path
+            path = itertools.chain((endpoint.name,), path)
         chosen = None
         fallback = None
         for inst_name in path:

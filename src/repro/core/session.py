@@ -259,6 +259,9 @@ class WcmSession:
         # per-solve scratch (set in solve())
         self._solve_model: Optional[ReuseTimingModel] = None
         self._solve_dirty: Set[str] = set()
+        #: FF/TSV sites of the solve; no edit lands mid-solve, so every
+        #: sign-off round reads the same map
+        self._solve_positions: Dict[str, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Edits
@@ -366,6 +369,7 @@ class WcmSession:
         self._node_sigs = sigs
         self._solve_model = model
         self._solve_dirty = dirty
+        self._solve_positions = self._anchor_positions()
         self._moved.clear()
 
         result = run_wcm_flow(self.problem, self.config,
@@ -555,7 +559,7 @@ class WcmSession:
                      for g in plan.groups),
                tuple(plan.excluded_tsvs))
         entry = self._plan_cache.get(key)
-        positions = self._anchor_positions()
+        positions = self._solve_positions
         if entry is not None:
             moved = [name for name, pos in positions.items()
                      if entry.positions.get(name) != pos]

@@ -11,9 +11,9 @@ cells, after which the flow unstitches and restitches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Set
 
-from repro.netlist.core import Instance, Netlist, PortKind
+from repro.netlist.core import Instance, Netlist, Pin, PortKind
 from repro.util.errors import NetlistError
 
 
@@ -55,10 +55,20 @@ def _serpentine_order(flip_flops: List[Instance], rows: int = 16) -> List[Instan
 
 
 def unstitch_scan_chains(netlist: Netlist) -> None:
-    """Remove all scan stitching (SI/SE connections and scan ports)."""
+    """Remove all scan stitching (SI/SE connections and scan ports).
+
+    Each net drops its SI/SE sinks in one pass that keeps the order of
+    the remaining sinks (pin-by-pin ``disconnect_pin`` would rebuild
+    the shared scan-enable net's sink list once per flip-flop)."""
+    dropped: Dict[str, Set[Pin]] = {}
     for inst in netlist.scan_flip_flops():
-        netlist.disconnect_pin(inst.name, "SI")
-        netlist.disconnect_pin(inst.name, "SE")
+        for pin_name in ("SI", "SE"):
+            net_name = inst.connections.pop(pin_name, None)
+            if net_name is not None:
+                dropped.setdefault(net_name, set()).add(inst.pin(pin_name))
+    for net_name, pins in dropped.items():
+        net = netlist.net(net_name)
+        net.sinks = [s for s in net.sinks if s not in pins]
     for port in list(netlist.ports.values()):
         if port.kind in (PortKind.SCAN_IN, PortKind.SCAN_OUT,
                          PortKind.SCAN_ENABLE):

@@ -161,6 +161,11 @@ class CellType:
             raise LibraryError(f"cell {self.name}: expected 1 output, got {len(outs)}")
         return outs[0]
 
+    @functools.cached_property
+    def input_caps(self) -> Dict[str, float]:
+        """Input pin name -> pin capacitance (fF)."""
+        return {p.name: p.cap_ff for p in self.input_pins}
+
     def pin(self, name: str) -> CellPin:
         for p in self.pins:
             if p.name == name:

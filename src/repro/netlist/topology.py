@@ -34,18 +34,21 @@ def topological_instances(netlist: Netlist) -> List[str]:
 
     indegree: Dict[str, int] = {}
     dependents: Dict[str, List[str]] = {}
+    nets = netlist.nets
+    instances = netlist.instances
 
-    for inst in netlist.instances.values():
-        if inst.is_sequential:
+    for inst in instances.values():
+        if inst.cell.is_sequential:
             continue
         count = 0
         for _pin, net_name in inst.input_nets():
-            net = netlist.net(net_name)
+            net = nets.get(net_name)
+            if net is None:
+                net = netlist.net(net_name)  # raises the NetlistError
             drv = net.driver
             if drv is None or drv.is_port:
                 continue
-            driver_inst = netlist.instance(drv.owner_name)
-            if driver_inst.is_sequential:
+            if instances[drv.owner_name].cell.is_sequential:
                 continue
             count += 1
             dependents.setdefault(drv.owner_name, []).append(inst.name)

@@ -25,7 +25,7 @@ from repro.core.session import result_fingerprint
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
 from repro.dft.testview import TestView, build_prebond_test_view
-from repro.netlist.core import PortKind
+from repro.netlist.core import Netlist, PortKind
 from repro.sta.constraints import UNCONSTRAINED
 from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.rng import DeterministicRng
@@ -269,9 +269,30 @@ def check_podem(subject: Subject) -> List[str]:
     return out
 
 
+def pinned_case(netlist: Netlist, seed: int) -> Dict[str, int]:
+    """A seeded case map that pins internal nets: the outputs of a few
+    combinational gates, and for about half of them every data input
+    of the driving gate as well. Constants then propagate several
+    levels, and a gate's own value overrides (or agrees with) the entry
+    on its output net. ``default_case`` reaches neither: its constants
+    stop at the test-mode mux selects."""
+    rng = DeterministicRng(seed).child("verify", "pinned-case")
+    gates = [inst for inst in netlist.instances.values()
+             if not inst.is_sequential and inst.output_net() is not None]
+    case: Dict[str, int] = {}
+    for inst in rng.sample(gates, min(len(gates), 4)):
+        case[inst.output_net()] = rng.randint(0, 1)
+        if rng.random() < 0.5:
+            for pin, net in inst.input_nets():
+                if pin not in ("CK", "SE", "SI"):
+                    case.setdefault(net, rng.randint(0, 1))
+    return case
+
+
 def check_sta(subject: Subject) -> List[str]:
     """Reusable-context STA vs path-enumeration oracle: the problem's
-    own baselines (functional + test mode) and an unconstrained run."""
+    own baselines (functional + test mode), an unconstrained run, and
+    a seeded case map pinning internal nets (:func:`pinned_case`)."""
     out: List[str] = []
     problem = subject.problem
     wrapped = problem.dedicated_netlist
@@ -282,9 +303,13 @@ def check_sta(subject: Subject) -> List[str]:
     out += _compare_timing(
         "sta[test]", problem.test_timing,
         oracle_sta(wrapped, clock, case=default_case(wrapped, test_mode=1)))
-    fresh = TimingContext(wrapped).analyze(UNCONSTRAINED)
-    out += _compare_timing("sta[unconstrained]", fresh,
+    fresh = TimingContext(wrapped)
+    out += _compare_timing("sta[unconstrained]",
+                           fresh.analyze(UNCONSTRAINED),
                            oracle_sta(wrapped, UNCONSTRAINED))
+    case = pinned_case(wrapped, subject.spec.seed)
+    out += _compare_timing("sta[pinned]", fresh.analyze(clock, case=case),
+                           oracle_sta(wrapped, clock, case=case))
     return out
 
 

@@ -75,6 +75,25 @@ def _mutant_sta_stale_cache() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def _mutant_sta_stale_arcs() -> Iterator[None]:
+    """``invalidate_nets`` refreshes loads and gate delays but leaves
+    the compiled arcs' wire delays stale: a moved gate's input and
+    output wires keep their pre-move Elmore delays."""
+    from repro.sta import timer
+
+    original = timer.TimingContext._refresh_sink_delays
+
+    def stale(self, net):  # noqa: ARG001
+        return []
+
+    timer.TimingContext._refresh_sink_delays = stale
+    try:
+        yield
+    finally:
+        timer.TimingContext._refresh_sink_delays = original
+
+
+@contextlib.contextmanager
 def _mutant_obs_branch_dead() -> Iterator[None]:
     """Faults on observation branches report undetected: a silently
     optimistic fault universe."""
@@ -299,6 +318,8 @@ MUTANTS: Dict[str, tuple] = {
                                _mutant_pair_log_ignores_dirty),
     "sta-stale-cache": ("TimingContext.invalidate_nets is a no-op",
                         _mutant_sta_stale_cache),
+    "sta-stale-arcs": ("invalidate_nets leaves the compiled arcs' wire "
+                       "delays stale", _mutant_sta_stale_arcs),
     "obs-branch-dead": ("observation_diff always reports undetected",
                         _mutant_obs_branch_dead),
     "cone-bitset-alias": ("cone bitsets share a phantom overlap bit",

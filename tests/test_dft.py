@@ -62,6 +62,22 @@ class TestScanStitching:
         chains = stitch_scan_chains(fresh_die)
         assert chains[0].length == len(fresh_die.scan_flip_flops())
 
+    @pytest.mark.parametrize("chain_count", [1, 3])
+    def test_restitch_round_trip_matches_single_stitch(self, fresh_die,
+                                                       chain_count):
+        """stitch -> unstitch -> stitch leaves the netlist exactly as
+        one stitch does: every net keeps its remaining sinks, and the
+        nets and ports their order."""
+        from repro.core.session import netlist_payload
+
+        once = fresh_die.clone()
+        stitch_scan_chains(once, chain_count=chain_count)
+        twice = fresh_die.clone()
+        stitch_scan_chains(twice, chain_count=chain_count)
+        unstitch_scan_chains(twice)
+        stitch_scan_chains(twice, chain_count=chain_count)
+        assert netlist_payload(twice) == netlist_payload(once)
+
 
 class TestWrapperPlan:
     def test_dedicated_plan_counts(self, fresh_die):

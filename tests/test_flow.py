@@ -104,6 +104,42 @@ class TestRepair:
         # without repair the raw plan may violate, but must be complete
         run.plan.validate(problem.netlist)
 
+    def test_lazy_critical_walk_keeps_repair_decisions(self,
+                                                       medium_scenarios,
+                                                       monkeypatch):
+        """Every violating round of the b12_d1 ours/tight repair loop
+        evicts or splits the same groups whether the critical-path walk
+        is read lazily or materialized first."""
+        from repro.core import flow
+
+        _area, tight, problem = medium_scenarios
+        rounds = []
+
+        class Recorder(flow.FlowHooks):
+            def signoff(self, problem, plan, config):
+                built = super().signoff(problem, plan, config)
+                rounds.append((plan, built))
+                return built
+
+        run_wcm_flow(problem, WcmConfig.ours(tight), hooks=Recorder())
+        violating = []
+        for plan, (wrapped, report, functional, test) in rounds:
+            violations = flow.signoff_violations(functional, test)
+            if violations:
+                violating.append((wrapped, report, plan, violations))
+        assert len(violating) >= 5
+
+        def decisions():
+            return [flow._evict_violating_groups(*args, evict_budget=budget)
+                    for args in violating for budget in (1, 4)]
+
+        lazy = decisions()
+        walk = flow._walk_critical_path
+        monkeypatch.setattr(flow, "_walk_critical_path",
+                            lambda *args, **kwargs: list(walk(*args,
+                                                              **kwargs)))
+        assert decisions() == lazy
+
 
 class TestTestabilityMeasurement:
     def test_measure_testability_smoke(self, area_runs):

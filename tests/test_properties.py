@@ -165,6 +165,51 @@ def test_instance_sta_monotone_under_tsv_load_increase(spec):
 
 
 # ---------------------------------------------------------------------------
+# Compiled timing graph: case maps that pin internal nets
+# ---------------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(spec=_instance_specs,
+       case_seed=st.integers(min_value=0, max_value=10**6),
+       test_mode=st.sampled_from([None, 0, 1]),
+       mover=st.integers(min_value=0, max_value=10**6),
+       dx=st.integers(min_value=-60, max_value=60),
+       dy=st.integers(min_value=-60, max_value=60))
+def test_compiled_sta_matches_oracle_under_pinned_cases(spec, case_seed,
+                                                        test_mode, mover,
+                                                        dx, dy):
+    """On a generated wrapped die under a case map that pins internal
+    nets (constants several levels deep, gate values overriding case
+    entries), ``TimingContext.analyze`` equals the path-enumeration
+    oracle, and ``analyze_delta`` after a random move equals a fresh
+    context."""
+    from repro.sta.timer import TimingContext, default_case
+    from repro.verify.checks import _compare_timing, pinned_case
+    from repro.verify.oracles import oracle_sta
+
+    problem = spec.build_problem()
+    netlist = problem.dedicated_netlist
+    clock = problem.timing.constraint
+    case = (default_case(netlist, test_mode=test_mode)
+            if test_mode is not None else {})
+    case.update(pinned_case(netlist, case_seed))
+    context = TimingContext(netlist)
+    previous = context.analyze(clock, case=case)
+    assert _compare_timing("analyze", previous,
+                           oracle_sta(netlist, clock, case=case)) == []
+
+    instances = list(netlist.instances.values())
+    moved = instances[mover % len(instances)]
+    moved.x += dx
+    moved.y += dy
+    dirty = sorted(set(moved.connections.values()))
+    context.invalidate_nets(dirty)
+    delta = context.analyze_delta(clock, case=case, previous=previous,
+                                  dirty_nets=dirty)
+    fresh = TimingContext(netlist).analyze(clock, case=case)
+    assert _compare_timing("analyze_delta", delta, fresh) == []
+
+
+# ---------------------------------------------------------------------------
 # Observability layer: rollups and report merges under reordering
 # ---------------------------------------------------------------------------
 _METRIC_OP = st.tuples(

@@ -82,3 +82,31 @@ class TestInvalidateNets:
                                       dirty_nets=[port.net])
         fresh = TimingContext(netlist).analyze(UNCONSTRAINED, case=case)
         assert_same_timing(delta, fresh)
+
+    def test_scan_out_port_rewired_in_place(self, medium_die):
+        """A restitch in place moves the scan-out port onto the new
+        chain tail's Q net: invalidating the scan-port nets re-indexes
+        the port endpoints, and the delta equals a fresh context."""
+        from repro.core.session import _restitch_in_place
+
+        netlist = medium_die.clone()
+        context = TimingContext(netlist)
+        constraint = ClockConstraint(
+            period_ps=context.analyze().critical_path_ps * 0.9)
+        case = default_case(netlist, test_mode=1)
+        previous = context.analyze(constraint, case=case)
+
+        scan_out = netlist.ports["scan_out0__port"]
+        old_tail_net = scan_out.net
+        tail = netlist.instances[netlist.net(old_tail_net).driver.owner_name]
+        head = min(netlist.scan_flip_flops(), key=lambda ff: (ff.y, ff.x))
+        tail.x, tail.y = head.x - 1.0, head.y
+        dirty = set(tail.connections.values()) | _restitch_in_place(netlist)
+        assert netlist.ports["scan_out0__port"].net != old_tail_net
+
+        context.invalidate_nets(sorted(dirty))
+        delta = context.analyze_delta(constraint, case=case,
+                                      previous=previous, dirty_nets=dirty)
+        fresh = TimingContext(netlist).analyze(constraint, case=case)
+        assert_same_timing(delta, fresh)
+        assert delta.port_slack_ps == fresh.port_slack_ps

@@ -161,6 +161,7 @@ def test_self_check_kills_cheap_mutants():
                          checks=["sim", "sta-reuse", "faults"],
                          mutant_names=["sim-opcode-swap",
                                        "sta-stale-cache",
+                                       "sta-stale-arcs",
                                        "ffr-unsensitized-path"])
     assert all(r.killed for r in results), results
     assert all(r.iterations <= 8 for r in results)
