@@ -116,15 +116,18 @@ def test_bench_event_propagation(benchmark, kernel_die):
     assert sum(1 for word in detections if word) > len(faults) // 2
 
 
-def test_bench_graph_timed(benchmark, kernel_problem):
-    """The sharing-graph sweep under the tight clock (distance active)."""
+@pytest.mark.parametrize("kind", [PortKind.TSV_INBOUND,
+                                  PortKind.TSV_OUTBOUND],
+                         ids=lambda kind: kind.name)
+def test_bench_graph_timed(benchmark, kernel_problem, kind):
+    """The sharing-graph sweep under the tight clock (distance active):
+    the inbound launch rows and the outbound capture rows."""
     clock = tight_clock_for(kernel_problem)
     problem = kernel_problem.retime(clock)
     config = WcmConfig.ours(Scenario.performance_optimized(clock.period_ps))
 
     def run():
-        return build_wcm_graph(problem, PortKind.TSV_INBOUND,
-                               problem.scan_ffs, config)
+        return build_wcm_graph(problem, kind, problem.scan_ffs, config)
 
     graph = benchmark(run)
     assert graph.stats.nodes > 0

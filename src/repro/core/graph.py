@@ -14,14 +14,18 @@ Edges (at least one endpoint a TSV, never FF–FF):
    testability estimate (:mod:`repro.core.testability`) stays within
    ``cov_th``/``p_th``.
 
-What a pair's checks read about one node (location, cone bitset, the
-timing model's per-node terms) is computed once per node, so a pair of
-the O(n²) sweep costs its Manhattan distance, a few float operations
-and one big-int AND; only an overlapped FF–TSV pair also intersects the
-two cones for its estimate. The sweep visits every pair: at the
-paper's ``d_th`` (0.8 × the die's half-perimeter) the distance limit
-rejects under 1 % of them, so a spatial index would prune almost
-nothing.
+The O(n²) sweep runs row by row: one row per TSV over the TSVs after
+it, then one row per FF over every TSV. What a pair's checks read about
+one node (site, cone bitset, the timing model's per-node terms) is read
+once per graph, and a row runs its distances, its timing check (the
+model's row forms, :meth:`ReuseTimingModel.share_row` and
+:meth:`ReuseTimingModel.reuse_row`), its cone ANDs and its estimates as
+passes over the columns, so a pair costs its Manhattan distance, a few
+float operations and one big-int AND; only an overlapped FF–TSV pair
+also intersects the two cones for its estimate. The sweep visits every
+pair: at the paper's ``d_th`` (0.8 × the die's half-perimeter) the
+distance limit rejects under 1 % of them, so a spatial index would
+prune almost nothing.
 
 The returned :class:`WcmGraph` carries rejection statistics for the
 Fig. 7 edge-count analysis.
@@ -30,8 +34,8 @@ Fig. 7 edge-count analysis.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import WcmConfig
@@ -77,18 +81,21 @@ class WcmGraph:
 
 @dataclass
 class PairLog:
-    """One direction's last sweep, owned by the caller (an ECO session)
-    and replayed by the next :func:`build_wcm_graph` it is passed to.
+    """One direction's last sweep, row by row, owned by the caller (an
+    ECO session) and replayed by the next :func:`build_wcm_graph` it is
+    passed to.
 
-    ``pairs`` maps ``(name_a, name_b, a_is_ff)`` to ``(distance_um,
-    outcome)`` in sweep order. The outcome is taken before ``d_th``
-    applies and holds the testability estimate itself, so no threshold
-    is baked into the log."""
+    ``rows`` follows the sweep: one row per TSV of ``tsvs`` over the
+    TSVs after it, then one row per FF of ``ffs`` over every TSV. A row
+    is a ``(distances_um, outcomes)`` pair of lists with one entry per
+    column. An outcome is taken before ``d_th`` applies and holds the
+    testability estimate itself, so no threshold is baked into the
+    log."""
 
     ffs: List[str] = field(default_factory=list)
     tsvs: List[str] = field(default_factory=list)
-    pairs: Dict[Tuple[str, str, bool], Tuple[float, object]] = field(
-        default_factory=dict)
+    rows: List[Optional[Tuple[List[float], List[object]]]] = field(
+        default_factory=list)
 
 
 def _cone_bitsets(problem: WcmProblem, names: Sequence[str], kind: PortKind
@@ -147,23 +154,27 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
                     dirty: AbstractSet[str] = frozenset()) -> WcmGraph:
     """Algorithm 1: build the sharing graph for one TSV direction.
 
-    The sweep visits every TSV–TSV pair, then every FF–TSV pair, in the
-    order of :func:`repro.verify.oracles.oracle_build_graph`, this
-    kernel's reference, and rejects a pair on distance, timing, cone
-    overlap and testability, in that order.
+    The sweep runs row by row, in the pair order of
+    :func:`repro.verify.oracles.oracle_build_graph`, this kernel's
+    reference: one row per TSV over the TSVs after it, then one row per
+    FF over every TSV. A row is evaluated whole: every pair's distance,
+    timing check (the model's row form), cone AND and, for an
+    overlapped FF–TSV pair, testability estimate, whatever the
+    distance. The tally then folds the row into the graph in column
+    order, rejecting a pair on distance, timing, cone overlap and
+    testability, in that order, under the current ``d_th``, ``cov_th``
+    and ``p_th``.
 
     *pair_log* makes the build incremental. When its node lists equal
-    this build's, only the logged pairs touching a node in *dirty* are
-    re-evaluated; every other pair keeps its logged distance and
-    outcome. Otherwise the sweep refills the log, evaluating every pair
-    whatever its distance. Either way the current ``d_th``, ``cov_th``
-    and ``p_th`` are applied while tallying the log in sweep order, so
-    a threshold re-tune replays too, and stats, counters and
-    coverage-drop observations equal a build without a log. The caller
-    must put in *dirty* every node whose position, timing or cone
-    changed since the log was filled, and drop the log when any other
-    config field changes. Without a log the sweep makes one pass and
-    evaluates only the pairs within ``d_th``.
+    this build's, the row of a node in *dirty* is re-evaluated whole,
+    every other row only at the columns of dirty TSVs, and every other
+    pair keeps its logged distance and outcome. Otherwise the sweep
+    refills the log. Every row is tallied either way, so a threshold
+    re-tune replays too, and stats, counters and coverage-drop
+    observations equal a build without a log. The caller must put in
+    *dirty* every node whose position, timing or cone changed since the
+    log was filled, and drop the log when any other config field
+    changes. Without a log each row is dropped once tallied.
     """
     model = timing_model or ReuseTimingModel(problem, config)
 
@@ -188,72 +199,117 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
     cones = _cone_bitsets(problem, nodes, kind)
     d_th = effective_d_th(problem, config)
     # d_th guards wire delay and routing congestion; the unconstrained
-    # area scenario imposes neither.
-    check_distance = math.isfinite(d_th) and config.scenario.is_timed
+    # area scenario imposes neither. A pair at or beyond *limit* is
+    # rejected on distance.
+    limit = (d_th if math.isfinite(d_th) and config.scenario.is_timed
+             else math.inf)
 
-    # ---- edge construction ----------------------------------------------
-    def outcome_of(name_a: str, name_b: str, a_is_ff: bool):
-        if not model.pair_feasible(name_a, name_b, kind, a_is_ff, False):
-            return _REJ_TIMING
-        if cones[name_a] & cones[name_b] == 0:
-            return _EDGE
-        if not a_is_ff or not config.allow_overlap or estimator is None:
-            # The paper's relaxation (Fig. 4) concerns reusing a
-            # *scan FF* despite overlapped cones; TSV-TSV sharing
-            # keeps the strict non-overlap rule in every method.
-            return _REJ_OVERLAP
-        return estimator.estimate(problem.cones.overlap(name_a, name_b,
-                                                        kind))
+    # ---- per-node terms, read once per graph ---------------------------
+    sites = {name: problem.location_of(name) for name in nodes}
+    share_terms = {name: model.share_term(name, kind) for name in tsvs}
+    #: the sweep's columns, one entry per TSV: name, site, cone bits,
+    #: singleton state and share term
+    columns = (tsvs,
+               [sites[name] for name in tsvs],
+               [cones[name] for name in tsvs],
+               [model.initial_state(name, kind, False) for name in tsvs],
+               [share_terms[name] for name in tsvs])
+    estimate = (estimator.estimate
+                if config.allow_overlap and estimator is not None else None)
+    overlap = problem.cones.overlap
 
-    def tally(outcome, name_a: str, name_b: str) -> None:
-        """Fold one within-distance outcome into adjacency and stats."""
-        if outcome is _EDGE:
-            adjacency[name_a].add(name_b)
-            adjacency[name_b].add(name_a)
-            stats.edges += 1
-        elif outcome is _REJ_TIMING:
-            stats.rejected_timing += 1
-        elif outcome is _REJ_OVERLAP:
-            stats.rejected_overlap += 1
+    def evaluate(name_a: str, a_is_ff: bool, cols, lo: int):
+        """Distances and outcomes of *name_a*'s row over the columns
+        ``cols[k][lo:]``."""
+        names, points, bits, states, terms = cols
+        ax, ay = sites[name_a]
+        dists = [abs(ax - x) + abs(ay - y) for x, y in points[lo:]]
+        if a_is_ff:
+            fits = model.reuse_row(name_a, kind, dists, states[lo:])
         else:
-            if trace.active() is not None:
-                trace.observe("graph.coverage_drop", outcome.coverage_drop)
-            if outcome.within(config.cov_th, config.p_th):
-                adjacency[name_a].add(name_b)
-                adjacency[name_b].add(name_a)
-                stats.edges += 1
-                stats.overlap_edges += 1
-            else:
-                stats.rejected_testability += 1
+            fits = model.share_row(kind, share_terms[name_a], dists,
+                                   terms[lo:])
+        cone_a = cones[name_a]
+        # The paper's relaxation (Fig. 4) concerns reusing a *scan FF*
+        # despite overlapped cones; TSV-TSV sharing keeps the strict
+        # non-overlap rule in every method.
+        estimated = a_is_ff and estimate is not None
+        return dists, [((estimate(overlap(name_a, name_b, kind))
+                         if estimated else _REJ_OVERLAP)
+                        if cone_a & cone_b else _EDGE)
+                       if fit else _REJ_TIMING
+                       for fit, cone_b, name_b
+                       in zip(fits, bits[lo:], names[lo:])]
 
-    # the oracle's order: TSV–TSV pairs (i < j), then FF–TSV pairs
-    sweep = chain(((a, b, False) for a, b in combinations(tsvs, 2)),
-                  ((a, b, True) for a, b in product(ffs, tsvs)))
-    if pair_log is None:
-        for name_a, name_b, a_is_ff in sweep:
-            if check_distance and model.distance_um(name_a, name_b) >= d_th:
+    observing = trace.active() is not None
+    cov_th, p_th = config.cov_th, config.p_th
+
+    #: the columns' adjacency sets, in column order
+    column_sets = [adjacency[name] for name in tsvs]
+
+    def tally(name_a: str, lo: int, dists: List[float],
+              outcomes: List[object]) -> None:
+        """Fold one row into adjacency and stats, in column order."""
+        adjacency_a = adjacency[name_a]
+        for name_b, adjacency_b, dist, outcome in zip(
+                tsvs[lo:], column_sets[lo:], dists, outcomes):
+            if dist >= limit:
                 stats.rejected_distance += 1
+            elif outcome is _EDGE:
+                adjacency_a.add(name_b)
+                adjacency_b.add(name_a)
+                stats.edges += 1
+            elif outcome is _REJ_TIMING:
+                stats.rejected_timing += 1
+            elif outcome is _REJ_OVERLAP:
+                stats.rejected_overlap += 1
             else:
-                tally(outcome_of(name_a, name_b, a_is_ff), name_a, name_b)
-    else:
+                if observing:
+                    trace.observe("graph.coverage_drop",
+                                  outcome.coverage_drop)
+                if outcome.within(cov_th, p_th):
+                    adjacency_a.add(name_b)
+                    adjacency_b.add(name_a)
+                    stats.edges += 1
+                    stats.overlap_edges += 1
+                else:
+                    stats.rejected_testability += 1
+
+    # ---- edge construction: the oracle's pair order, row by row -------
+    sweep = [(name, False, i + 1) for i, name in enumerate(tsvs)]
+    sweep += [(name, True, 0) for name in ffs]
+    rows: Optional[list] = None
+    if pair_log is not None:
         if pair_log.ffs == ffs and pair_log.tsvs == tsvs:
             # Counted as a session counter: only ECO sessions keep logs.
             trace.inc("session.graph_replays")
-        else:  # refill: every pair starts unevaluated (None)
+        else:  # refill: every row starts unevaluated (None)
             pair_log.ffs, pair_log.tsvs = ffs, tsvs
-            pair_log.pairs = dict.fromkeys(sweep)
-        pairs = pair_log.pairs
-        for key, logged in pairs.items():
-            name_a, name_b, a_is_ff = key
-            if logged is None or name_a in dirty or name_b in dirty:
-                logged = pairs[key] = (model.distance_um(name_a, name_b),
-                                       outcome_of(name_a, name_b, a_is_ff))
-            if check_distance and logged[0] >= d_th:
-                stats.rejected_distance += 1
-            else:
-                tally(logged[1], name_a, name_b)
+            pair_log.rows = [None] * len(sweep)
+        rows = pair_log.rows
+    #: the dirty TSVs' column indices and columns, patched into the
+    #: logged rows of clean nodes
+    dirty_at = ([j for j, name in enumerate(tsvs) if name in dirty]
+                if rows is not None else [])
+    dirty_columns = tuple([column[j] for j in dirty_at]
+                          for column in columns)
+    for index, (name_a, a_is_ff, lo) in enumerate(sweep):
+        row = rows[index] if rows is not None else None
+        if row is None or name_a in dirty:
+            row = evaluate(name_a, a_is_ff, columns, lo)
+            if rows is not None:
+                rows[index] = row
+        elif dirty_at:
+            first = bisect_left(dirty_at, lo)
+            dists, outcomes = row
+            for j, dist, outcome in zip(
+                    dirty_at[first:],
+                    *evaluate(name_a, a_is_ff, dirty_columns, first)):
+                dists[j - lo] = dist
+                outcomes[j - lo] = outcome
+        tally(name_a, lo, *row)
 
-    if trace.active() is not None:
+    if observing:
         trace.observe("graph.edges", stats.edges)
     return WcmGraph(kind=kind, nodes=nodes, is_ff=is_ff,
                     adjacency=adjacency, excluded_tsvs=excluded,

@@ -13,14 +13,15 @@ re-solving incrementally:
   :class:`~repro.sta.timer.TimingContext` refreshes loads/wire delays
   with ``invalidate_nets`` and re-times both sign-off modes with
   ``analyze_delta`` instead of full sweeps.
-* **Dirty region.** Per-node signatures capture everything the pair
-  feasibility checks read (position, baseline arrivals/requireds,
-  loads). Each direction keeps the pair log of its last sharing-graph
-  build (:class:`repro.core.graph.PairLog`: every pair's distance and
-  its outcome before ``d_th`` applies); the next build re-evaluates
-  only the pairs touching a dirty node and re-tallies the rest under
-  the current thresholds, so rejection statistics and trace counters
-  come out identical to a cold build, ``d_th`` re-tunes included.
+* **Dirty region.** Per-node signatures capture everything the
+  sharing graph's row kernel reads of a node (position, baseline
+  arrivals/requireds, loads). Each direction keeps the row-shaped pair
+  log of its last sharing-graph build (:class:`repro.core.graph.PairLog`:
+  every pair's distance and its outcome before ``d_th`` applies, one
+  row per TSV and per FF); the next build re-evaluates a dirty node's
+  row and a dirty TSV's column, and re-tallies every row under the
+  current thresholds, so rejection statistics and trace counters come
+  out identical to a cold build, ``d_th`` re-tunes included.
 * **Partition reuse.** ``merged_state`` outcomes are memoized on state
   values (:func:`repro.core.clique._merged_state_fn`); when an edit
   leaves a kind's graph and node states untouched,
@@ -477,9 +478,9 @@ class WcmSession:
 
     # -- node signatures ------------------------------------------------
     def _node_signatures(self, model: ReuseTimingModel) -> Dict[str, tuple]:
-        """Everything ``pair_feasible``/``initial_state`` read per node;
-        an unchanged signature certifies every memoized check touching
-        the node."""
+        """Everything the graph's row kernel (``reuse_row``,
+        ``share_row``, ``initial_state``) reads per node; an unchanged
+        signature certifies every logged pair touching the node."""
         problem = self.problem
         netlist = problem.netlist
         t, tt = problem.timing, problem.test_timing

@@ -22,34 +22,36 @@ A scan FF may serve several groups ("reused multiple times"); the
 :class:`FfReuseLedger` accumulates each FF's extra Q load and enforces
 at most one outbound chain per FF. See DESIGN.md §4.
 
-Algorithm 1 asks the model about every candidate pair, but most of what
-a pair check reads depends on one node only. The model therefore keeps
-per-node caches, each filled on first use:
+Algorithm 1 asks the model about every candidate pair, one row at a
+time (:func:`repro.core.graph.build_wcm_graph`): a TSV against the TSVs
+after it (:meth:`ReuseTimingModel.share_row`), or an FF against every
+TSV (:meth:`ReuseTimingModel.reuse_row`). What a check reads of one
+node is read once per row, not once per pair: the FF's inbound launch
+term (Q arrival plus the slowdown of one more buffer pin) or outbound
+D-source term, each TSV's share term (model load or functional
+arrival) and each TSV's initial :class:`CliqueTimingState`. The
+states are built once per model, keyed by ``(name, kind)``, and shared
+(frozen) with :func:`~repro.core.clique.partition_cliques` and FF
+adoption.
 
-* ``_tsv_states``: every TSV's initial :class:`CliqueTimingState`,
-  keyed by ``(name, kind)``; :meth:`ReuseTimingModel.initial_state`
-  returns these shared (frozen) objects to the pair checks,
-  :func:`~repro.core.clique.partition_cliques` and FF adoption alike;
-* ``_inbound_ff`` / ``_outbound_ff``: each FF's inbound launch term
-  (Q arrival plus the slowdown of one more buffer pin) and outbound
-  D-source term, or ``None`` when the FF's own slack rejects it;
-* ``_share_arrival``: each outbound TSV's functional arrival, read by
-  the TSV–TSV share check.
-
-Library constants are read once, in ``__init__``, so a pair check
-costs its hop distance and a few float operations. Each cached term is
-a left prefix of the per-pair formula it replaces, so every float sum
-keeps its evaluation order and every decision is bit-identical. The
-caches are never invalidated: a cold flow builds one model per flow and
-an ECO session one per solve, after the solve's baseline refresh, and
-the problem's positions and timing do not change while a model lives.
+Each reuse formula is written once, in row form: the graph calls it
+with a row of TSV singletons, :class:`FfReuseLedger` with the one
+clique an FF would adopt, and :meth:`ReuseTimingModel.merged_state`
+the capture check with the one merged chain. Library constants are
+read once, in ``__init__``, so a pair costs its hop distance and a few
+float operations. Every float sum keeps the evaluation order of the
+per-pair formula (:func:`repro.verify.oracles.oracle_pair_feasible`),
+so every decision is bit-identical to it. A model's caches are never
+invalidated: a cold flow builds one model per flow and an ECO session
+one per solve, after the solve's baseline refresh, and the problem's
+positions and timing do not change while a model lives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
@@ -62,13 +64,8 @@ INF = math.inf
 #: safety margin (ps) kept between a predicted path and its requirement
 PREDICTION_MARGIN_PS = 4.0
 
-#: absent-key marker for the FF term caches, whose values may be None
-_MISSING = object()
-
-#: the TSV kinds, bound once: an enum member lookup costs more than the
-#: float work of a pair check
+#: the inbound TSV kind, bound once
 _INBOUND = PortKind.TSV_INBOUND
-_OUTBOUND = PortKind.TSV_OUTBOUND
 
 
 def _no_wire(length_um: float, load_ff: float = 0.0) -> float:
@@ -161,20 +158,15 @@ class ReuseTimingModel:
         #: (xor.A + mux.A - ff.D) and slows its driver
         self._d_repin_cap = max(xor_a_cap + self._mux.input_cap("A")
                                 - sdff_d_cap, 0.0)
-        # Memoized lookups over immutable problem state. The pair sweep
-        # asks for the same locations / nets / resistances thousands of
-        # times; each cache returns exactly the value the uncached code
-        # would recompute.
+        # Memoized lookups over immutable problem state; each cache
+        # returns exactly the value the uncached code would recompute.
         self._location_cache: Dict[str, Tuple[float, float]] = {}
         self._tsv_net_cache: Dict[str, str] = {}
         self._resistance_cache: Dict[str, float] = {}
         self._mux_b_required_cache: Dict[str, float] = {}
         self._load_cache: Dict[str, float] = {}
-        # Per-node pair terms (see the module docstring).
+        #: every TSV's initial state (see the module docstring)
         self._tsv_states: Dict[Tuple[str, PortKind], CliqueTimingState] = {}
-        self._inbound_ff: Dict[str, Optional[float]] = {}
-        self._outbound_ff: Dict[str, Optional[float]] = {}
-        self._share_arrival: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Geometry / electrical primitives
@@ -186,12 +178,8 @@ class ReuseTimingModel:
         return loc
 
     def distance_um(self, name_a: str, name_b: str) -> float:
-        try:  # the sweep's hot path: both locations already cached
-            ax, ay = self._location_cache[name_a]
-            bx, by = self._location_cache[name_b]
-        except KeyError:
-            ax, ay = self._location(name_a)
-            bx, by = self._location(name_b)
+        ax, ay = self._location(name_a)
+        bx, by = self._location(name_b)
         return abs(ax - bx) + abs(ay - by)
 
     def _hop(self, ff_name: str, anchor: Tuple[float, float]) -> float:
@@ -291,82 +279,70 @@ class ReuseTimingModel:
         return slack > self.config.scenario.s_th_ps
 
     # ------------------------------------------------------------------
-    # Pair feasibility (Algorithm 1, edge construction)
+    # Pair checks in row form (Algorithm 1, edge construction)
     # ------------------------------------------------------------------
-    def inbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
-        """Can *ff_name* (via its group buffer) drive *tsv_name*'s mux?"""
-        if not self._timed:
-            return True
-        launch = self._inbound_ff.get(ff_name, _MISSING)
-        if launch is _MISSING:
-            launch = self._inbound_ff[ff_name] = \
-                self._inbound_launch(ff_name, 0.0)
-        state = self.initial_state(tsv_name, _INBOUND, False)
-        return self._inbound_reuse_ok(ff_name, launch, state)
+    def share_term(self, tsv_name: str, kind: PortKind) -> float:
+        """What the TSV–TSV share check reads of one TSV: its model load
+        (inbound) or its functional arrival (outbound)."""
+        if kind is _INBOUND:
+            return self.model_load_ff(tsv_name)
+        return self.timing.arrival_ps.get(self._tsv_net(tsv_name), 0.0)
 
-    def inbound_share_feasible(self, tsv_a: str, tsv_b: str) -> bool:
-        """Can two inbound TSVs hang off one group buffer?"""
+    def share_row(self, kind: PortKind, term: float,
+                  distances: Sequence[float], terms: Sequence[float]
+                  ) -> List[bool]:
+        """Can the TSV with share *term* share one wrapper group with
+        each TSV of *terms*, *distances* um away?"""
+        if kind is _INBOUND:
+            return self.inbound_share_row(term, distances, terms)
+        return self.outbound_share_row(term, distances, terms)
+
+    def inbound_share_row(self, load: float, distances: Sequence[float],
+                          loads: Sequence[float]) -> List[bool]:
+        """Two inbound TSVs hang off one group buffer: both model loads,
+        two mux pins and the coupling wire must stay under ``cap_th``."""
         cap_th = self.config.scenario.cap_th_ff
         if cap_th is INF:
-            return True
-        coupling = self._wire_cap(self.distance_um(tsv_a, tsv_b))
-        total = (self.model_load_ff(tsv_a) + self.model_load_ff(tsv_b)
-                 + self._two_mux_b_cap + coupling)
-        return total < cap_th
+            return [True] * len(distances)
+        wire_cap, two_mux = self._wire_cap, self._two_mux_b_cap
+        return [load + other + two_mux + wire_cap(distance) < cap_th
+                for distance, other in zip(distances, loads)]
 
-    def outbound_reuse_feasible(self, ff_name: str, tsv_name: str) -> bool:
-        """Can *ff_name* observe *tsv_name* through an XOR tap?"""
+    def outbound_share_row(self, arrival: float, distances: Sequence[float],
+                           arrivals: Sequence[float]) -> List[bool]:
+        """Two outbound TSVs share one observation chain: the later of
+        the two arrivals, through the wire, two XOR stages and the
+        capture mux, must leave more than ``s_th`` of the period."""
         if not self._timed:
-            return True
-        d_source = self._outbound_ff.get(ff_name, _MISSING)
-        if d_source is _MISSING:
-            d_source = self._outbound_ff[ff_name] = \
-                self._outbound_d_source(ff_name)
-        state = self.initial_state(tsv_name, _OUTBOUND, False)
-        return self._outbound_reuse_ok(ff_name, d_source, state)
+            return [True] * len(distances)
+        wire_delay, xor_b = self._wire_delay, self._xor_b_cap
+        two_xor, mux = self._two_xor_delay_ps, self._capture_mux_ps
+        required, margin = self._ff_required, self._s_th_margin
+        out = []
+        for distance, other in zip(distances, arrivals):
+            wire = wire_delay(distance, xor_b)
+            worst = max(0.0, arrival + wire + two_xor + mux,
+                        other + wire + two_xor + mux)
+            out.append(required - worst > margin)
+        return out
 
-    def outbound_share_feasible(self, tsv_a: str, tsv_b: str) -> bool:
-        """Can two outbound TSVs share one observation chain?"""
+    def reuse_row(self, ff_name: str, kind: PortKind,
+                  hops: Sequence[float],
+                  states: Sequence[CliqueTimingState]) -> List[bool]:
+        """Can *ff_name*, with an empty reuse budget, serve each TSV
+        singleton of *states*, *hops* um away? The FF's launch or
+        D-source term is computed once for the whole row."""
         if not self._timed:
-            return True
-        wire = self._wire_delay(self.distance_um(tsv_a, tsv_b),
-                                self._xor_b_cap)
-        arrival = self._share_arrival_ps
-        worst = max(0.0,
-                    arrival(tsv_a) + wire + self._two_xor_delay_ps
-                    + self._capture_mux_ps,
-                    arrival(tsv_b) + wire + self._two_xor_delay_ps
-                    + self._capture_mux_ps)
-        return self._ff_required - worst > self._s_th_margin
-
-    def _share_arrival_ps(self, tsv_name: str) -> float:
-        """Functional arrival at an outbound TSV's net."""
-        arrival = self._share_arrival.get(tsv_name)
-        if arrival is None:
-            arrival = self._share_arrival[tsv_name] = \
-                self.timing.arrival_ps.get(self._tsv_net(tsv_name), 0.0)
-        return arrival
-
-    def pair_feasible(self, name_a: str, name_b: str, kind: PortKind,
-                      a_is_ff: bool, b_is_ff: bool) -> bool:
-        """Edge-level timing feasibility for Algorithm 1."""
-        if a_is_ff and b_is_ff:
-            return False  # FF-FF edges never exist
+            return [True] * len(states)
         if kind is _INBOUND:
-            if a_is_ff:
-                return self.inbound_reuse_feasible(name_a, name_b)
-            if b_is_ff:
-                return self.inbound_reuse_feasible(name_b, name_a)
-            return self.inbound_share_feasible(name_a, name_b)
-        if a_is_ff:
-            return self.outbound_reuse_feasible(name_a, name_b)
-        if b_is_ff:
-            return self.outbound_reuse_feasible(name_b, name_a)
-        return self.outbound_share_feasible(name_a, name_b)
+            return self.inbound_reuse_row(
+                self._inbound_launch(ff_name, 0.0), hops, states)
+        return self.outbound_reuse_row(
+            self._outbound_d_source(ff_name), hops, states)
 
     # ------------------------------------------------------------------
-    # FF reuse terms and checks, shared by the pair checks (FF terms
-    # cached per model) and FfReuseLedger (terms under its budget)
+    # FF reuse terms and checks, shared by the graph's rows (empty
+    # budget) and FfReuseLedger (one column, terms under its budget)
     # ------------------------------------------------------------------
     def _inbound_launch(self, ff_name: str, extra_q_cap: float
                         ) -> Optional[float]:
@@ -382,22 +358,31 @@ class ReuseTimingModel:
             return None
         return self.timing.arrival_ps.get(q_net, 0.0) + delta_delay
 
-    def _inbound_reuse_ok(self, ff_name: str, launch: Optional[float],
-                          state: CliqueTimingState) -> bool:
-        """Can the FF, with inbound *launch* term, drive *state*'s group
-        buffer from its own site?"""
+    def inbound_reuse_row(self, launch: Optional[float],
+                          hops: Sequence[float],
+                          states: Sequence[CliqueTimingState]
+                          ) -> List[bool]:
+        """Can an FF with inbound *launch* term drive each state's group
+        buffer from its own site, *hops* um from the state's anchor?"""
         if launch is None:
-            return False
-        if state.min_required_ps is INF:
-            return True
-        hop = self._hop(ff_name, state.anchor)
-        cap = state.cap_ff + self._wire_cap(hop)
-        if cap >= self.config.scenario.cap_th_ff:
-            return False
-        path = (launch + self._buf.delay_ps(cap)
-                + self._wire_delay(state.max_span_um + hop,
-                                   self._mux_b_cap))
-        return path + PREDICTION_MARGIN_PS <= state.min_required_ps
+            return [False] * len(states)
+        wire_cap, wire_delay = self._wire_cap, self._wire_delay
+        buf_delay, mux_b = self._buf.delay_ps, self._mux_b_cap
+        cap_th = self.config.scenario.cap_th_ff
+        out = []
+        for hop, state in zip(hops, states):
+            required = state.min_required_ps
+            if required is INF:
+                out.append(True)
+                continue
+            cap = state.cap_ff + wire_cap(hop)
+            if cap >= cap_th:
+                out.append(False)
+                continue
+            path = (launch + buf_delay(cap)
+                    + wire_delay(state.max_span_um + hop, mux_b))
+            out.append(path + PREDICTION_MARGIN_PS <= required)
+        return out
 
     def _outbound_d_source(self, ff_name: str) -> Optional[float]:
         """The FF's D side of its XOR chain: the D net's test-mode
@@ -413,33 +398,44 @@ class ReuseTimingModel:
             return None
         return self.test_timing.arrival_ps.get(d_net, 0.0) + d_slow
 
-    def _outbound_reuse_ok(self, ff_name: str, d_source: Optional[float],
-                           state: CliqueTimingState) -> bool:
-        """Can the FF, with outbound *d_source* term, capture *state*'s
-        chain from its own site? (The adopting FF's probe carries no
-        member-slack bound.)"""
-        if d_source is None:
-            return False
-        span = state.max_span_um + self._hop(ff_name, state.anchor)
-        return self._capture_ok(state, span, d_source, INF)
+    def outbound_reuse_row(self, d_source: Optional[float],
+                           hops: Sequence[float],
+                           states: Sequence[CliqueTimingState]
+                           ) -> List[bool]:
+        """Can an FF with outbound *d_source* term capture each state's
+        chain from its own site, *hops* um from the state's anchor?
+        (The adopting FF's probe carries no member-slack bound.)"""
+        spans = [state.max_span_um + hop for hop, state in zip(hops, states)]
+        return self._capture_row(d_source, spans, states, INF)
 
-    def _capture_ok(self, state: CliqueTimingState, span: float,
-                    d_source: float, member_slack: float) -> bool:
-        """Test-capture feasibility of an outbound chain whose farthest
-        member sits *span* um from the chain, the capturing FF's D side
-        arriving at *d_source*."""
-        tap_cap = self._xor_b_cap + self._wire_cap(span)
-        slowdown = state.worst_member_resistance * tap_cap
-        # The tap slowdown also delays the member's other fanout; it
-        # must fit inside the member's own slack.
-        if slowdown + PREDICTION_MARGIN_PS > member_slack:
-            return False
-        member_source = (state.worst_arrival_ps + slowdown
-                         + self._wire_delay(span, self._xor_b_cap))
-        capture = (max(member_source, d_source)
-                   + max(1, len(state.members)) * self._xor_delay_ps
-                   + self._capture_mux_ps)
-        return self._ff_required - capture > self._s_th_margin
+    def _capture_row(self, d_source: Optional[float], spans: Sequence[float],
+                     states: Sequence[CliqueTimingState],
+                     member_slack: float) -> List[bool]:
+        """Test-capture feasibility of each outbound chain of *states*
+        whose farthest member sits *span* um from the chain, the
+        capturing FF's D side arriving at *d_source* (None: the FF
+        cannot capture at all)."""
+        if d_source is None:
+            return [False] * len(states)
+        wire_cap, wire_delay = self._wire_cap, self._wire_delay
+        xor_b, xor_delay = self._xor_b_cap, self._xor_delay_ps
+        mux = self._capture_mux_ps
+        required, margin = self._ff_required, self._s_th_margin
+        out = []
+        for span, state in zip(spans, states):
+            tap_cap = xor_b + wire_cap(span)
+            slowdown = state.worst_member_resistance * tap_cap
+            # The tap slowdown also delays the member's other fanout;
+            # it must fit inside the member's own slack.
+            if slowdown + PREDICTION_MARGIN_PS > member_slack:
+                out.append(False)
+                continue
+            member_source = (state.worst_arrival_ps + slowdown
+                             + wire_delay(span, xor_b))
+            capture = (max(member_source, d_source)
+                       + max(1, len(state.members)) * xor_delay + mux)
+            out.append(required - capture > margin)
+        return out
 
     # ------------------------------------------------------------------
     # Clique state (Algorithm 2's `cap` bookkeeping)
@@ -568,8 +564,8 @@ class ReuseTimingModel:
         if self._timed:
             d_source = ((state.ff_d_arrival_ps + state.ff_d_slowdown_ps)
                         if state.has_ff else 0.0)
-            if not self._capture_ok(state, state.max_span_um, d_source,
-                                    state.min_member_slack_ps):
+            if not self._capture_row(d_source, [state.max_span_um], [state],
+                                     state.min_member_slack_ps)[0]:
                 return None
         return state
 
@@ -593,7 +589,8 @@ class FfReuseLedger:
             return True
         launch = model._inbound_launch(
             ff_name, self._extra_q_cap.get(ff_name, 0.0))
-        return model._inbound_reuse_ok(ff_name, launch, state)
+        return model.inbound_reuse_row(
+            launch, [model._hop(ff_name, state.anchor)], [state])[0]
 
     def outbound_adoption_feasible(self, ff_name: str,
                                    state: CliqueTimingState) -> bool:
@@ -602,8 +599,9 @@ class FfReuseLedger:
             return False
         if not model._timed:
             return True
-        return model._outbound_reuse_ok(
-            ff_name, model._outbound_d_source(ff_name), state)
+        return model.outbound_reuse_row(
+            model._outbound_d_source(ff_name),
+            [model._hop(ff_name, state.anchor)], [state])[0]
 
     # ------------------------------------------------------------------
     def adoption_feasible(self, ff_name: str, state: CliqueTimingState

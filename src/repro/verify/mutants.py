@@ -248,30 +248,30 @@ def _mutant_schedule_fill_longest() -> Iterator[None]:
 
 @contextlib.contextmanager
 def _mutant_share_first_arrival() -> Iterator[None]:
-    """The hoisted outbound share check takes its worst arrival from the
-    first TSV only: a pair whose second TSV arrives late still shares a
-    chain that misses the capture deadline."""
+    """The sweep's outbound TSV–TSV row takes each pair's worst arrival
+    from the row's own TSV only: a pair whose column TSV arrives late
+    still shares a chain that misses the capture deadline."""
     from repro.core import timing_model
 
     model_cls = timing_model.ReuseTimingModel
-    original = model_cls.outbound_share_feasible
+    original = model_cls.outbound_share_row
 
-    def first_only(self, tsv_a, tsv_b) -> bool:
+    def first_only(self, arrival, distances, arrivals):
         if not self._timed:
-            return True
-        wire = self._wire_delay(self.distance_um(tsv_a, tsv_b),
-                                self._xor_b_cap)
-        arrival = self._share_arrival_ps
-        worst = max(0.0,
-                    arrival(tsv_a) + wire + self._two_xor_delay_ps
-                    + self._capture_mux_ps)
-        return self._ff_required - worst > self._s_th_margin
+            return [True] * len(distances)
+        out = []
+        for distance in distances:
+            wire = self._wire_delay(distance, self._xor_b_cap)
+            worst = max(0.0, arrival + wire + self._two_xor_delay_ps
+                        + self._capture_mux_ps)
+            out.append(self._ff_required - worst > self._s_th_margin)
+        return out
 
-    model_cls.outbound_share_feasible = first_only
+    model_cls.outbound_share_row = first_only
     try:
         yield
     finally:
-        model_cls.outbound_share_feasible = original
+        model_cls.outbound_share_row = original
 
 
 @contextlib.contextmanager
@@ -338,7 +338,7 @@ MUTANTS: Dict[str, tuple] = {
                               _mutant_schedule_pack_overlap),
     "schedule-fill-longest": ("designer fills the most loaded chain",
                               _mutant_schedule_fill_longest),
-    "share-first-arrival": ("outbound share check reads the first TSV's "
+    "share-first-arrival": ("outbound TSV-TSV row reads the row TSV's "
                             "arrival only", _mutant_share_first_arrival),
     "wrapper-reuse-mux-swapped": ("outbound reuse mux selects the XOR "
                                   "chain in functional mode",

@@ -22,6 +22,7 @@ from repro.core.config import Scenario, WcmConfig
 from repro.core.graph import PairLog, build_wcm_graph, effective_d_th
 from repro.core.problem import build_problem, tight_clock_for
 from repro.core.testability import OverlapTestabilityEstimator
+from repro.core.timing_model import ReuseTimingModel
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.core import PortKind
@@ -30,6 +31,7 @@ from repro.runtime import trace
 from repro.sta.constraints import ClockConstraint
 from repro.sta.timer import TimingAnalyzer, TimingContext, default_case
 from repro.util.rng import DeterministicRng
+from repro.verify.instances import InstanceSpec
 from repro.verify.oracles import oracle_build_graph, oracle_simulate
 
 from tests.test_properties import random_circuit
@@ -37,6 +39,7 @@ from tests.test_properties import random_circuit
 _WIDTH = 64
 _MASK = (1 << _WIDTH) - 1
 _CLOCK = ClockConstraint(period_ps=900.0)
+_KINDS = (PortKind.TSV_INBOUND, PortKind.TSV_OUTBOUND)
 
 pytestmark = pytest.mark.usefixtures("kernel")
 
@@ -247,9 +250,10 @@ def test_pair_log_refills_for_a_shorter_ff_list(timed_problem, kind):
                               estimator=estimator, pair_log=log)
     assert "session.graph_replays" not in collected.metrics.counters
     assert log.ffs == ffs[1:]
-    assert len(log.pairs) == (got.stats.tsv_nodes
-                              * (got.stats.tsv_nodes - 1) // 2
-                              + got.stats.ff_nodes * got.stats.tsv_nodes)
+    assert len(log.rows) == got.stats.tsv_nodes + got.stats.ff_nodes
+    assert sum(len(dists) for dists, _outcomes in log.rows) == (
+        got.stats.tsv_nodes * (got.stats.tsv_nodes - 1) // 2
+        + got.stats.ff_nodes * got.stats.tsv_nodes)
     _assert_same_graph(got, build_wcm_graph(timed_problem, kind, ffs[1:],
                                             config, estimator=estimator))
 
@@ -267,7 +271,8 @@ def test_pair_log_replays_moved_nodes(medium_die):
     build_wcm_graph(problem, kind, ffs, config, estimator=estimator,
                     pair_log=log)
     stale_log = PairLog(ffs=list(log.ffs), tsvs=list(log.tsvs),
-                        pairs=dict(log.pairs))
+                        rows=[(list(dists), list(outcomes))
+                              for dists, outcomes in log.rows])
     ff = problem.netlist.instances[ffs[0]]
     tsv = problem.netlist.ports[log.tsvs[0]]
     tsv.x, tsv.y = ff.x, ff.y
@@ -282,3 +287,103 @@ def test_pair_log_replays_moved_nodes(medium_die):
     stale = build_wcm_graph(problem, kind, ffs, config, estimator=estimator,
                             pair_log=stale_log)
     assert stale.stats != fresh.stats
+
+
+def _graph_fingerprint(graph, collected):
+    """Everything a build hands on: nodes, stats, each adjacency set in
+    its iteration order, and the coverage-drop observations."""
+    drops = collected.metrics.histograms.get("graph.coverage_drop")
+    return (graph.nodes, graph.excluded_tsvs, graph.stats,
+            [list(graph.adjacency[name]) for name in graph.nodes],
+            drops.to_payload() if drops is not None else None)
+
+
+def _traced_build(problem, kind, config, estimator, **log_args):
+    with trace.collect() as collected:
+        graph = build_wcm_graph(problem, kind, list(problem.scan_ffs),
+                                config, ReuseTimingModel(problem, config),
+                                estimator, **log_args)
+    return _graph_fingerprint(graph, collected)
+
+
+_MOVE = st.tuples(st.integers(min_value=0, max_value=10**6),
+                  st.integers(min_value=-60, max_value=60),
+                  st.integers(min_value=-60, max_value=60))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.builds(InstanceSpec,
+                      seed=st.integers(min_value=0, max_value=10**6),
+                      gates=st.integers(min_value=20, max_value=60),
+                      ffs=st.integers(min_value=2, max_value=8),
+                      tsv_in=st.integers(min_value=2, max_value=8),
+                      tsv_out=st.integers(min_value=2, max_value=8),
+                      method=st.sampled_from(["ours", "agrawal"]),
+                      coincident=st.booleans()),
+       cap_scale=st.sampled_from([0.3, 0.6, 1.0]),
+       s_th_scale=st.sampled_from([0.0, 0.2, 0.4]),
+       d_th_fraction=st.sampled_from([0.2, 0.5, 0.8]),
+       retuned_fraction=st.sampled_from([0.1, 0.4, 1.0]),
+       moves=st.lists(_MOVE, min_size=1, max_size=4))
+def test_row_sweep_matches_oracle_and_replays(spec, cap_scale, s_th_scale,
+                                              d_th_fraction,
+                                              retuned_fraction, moves):
+    """On generated dies, both methods, under tightened ``cap_th`` and
+    ``s_th`` and a distance limit: a cold build equals
+    ``oracle_build_graph``, and a pair-log replay after random FF and
+    TSV moves and a ``d_th`` re-tune, with the moved nodes dirty,
+    equals a cold build of the moved die under the new ``d_th``."""
+    problem = spec.build_problem()
+    period = problem.timing.constraint.period_ps
+    default = Scenario.performance_optimized(period)
+    scenario = Scenario.performance_optimized(
+        period, cap_th_ff=cap_scale * default.cap_th_ff,
+        s_th_ps=s_th_scale * period)
+    config = dataclasses.replace(
+        getattr(WcmConfig, spec.method)(scenario),
+        d_th_fraction=d_th_fraction, d_th_um=math.inf)
+
+    def estimator():
+        return (OverlapTestabilityEstimator(problem)
+                if config.allow_overlap else None)
+
+    ffs = list(problem.scan_ffs)
+    shared = estimator()
+    logs = {kind: PairLog() for kind in _KINDS}
+    for kind in _KINDS:
+        cold = build_wcm_graph(problem, kind, ffs, config,
+                               estimator=shared)
+        _assert_same_graph(cold, oracle_build_graph(
+            problem, kind, ffs, config,
+            timing_model=ReuseTimingModel(problem, config),
+            estimator=estimator()))
+        assert _traced_build(problem, kind, config, shared,
+                             pair_log=logs[kind]) \
+            == _traced_build(problem, kind, config, shared)
+
+    # Move FFs and TSVs of both kinds. A moved sink also changes the
+    # model load of the inbound TSVs that drive it, so those are dirty
+    # too, as the session's node signatures make them.
+    def loads():
+        model = ReuseTimingModel(problem, config)
+        return {tsv: model.model_load_ff(tsv)
+                for tsv in problem.inbound_tsvs}
+
+    before = loads()
+    netlist = problem.netlist
+    movable = ffs + problem.inbound_tsvs + problem.outbound_tsvs
+    moved = set()
+    for pick, dx, dy in moves:
+        name = movable[pick % len(movable)]
+        node = netlist.instances.get(name) or netlist.ports[name]
+        node.x += dx
+        node.y += dy
+        moved.add(name)
+    after = loads()
+    dirty = moved | {tsv for tsv in after if after[tsv] != before[tsv]}
+
+    retuned = dataclasses.replace(config, d_th_fraction=retuned_fraction)
+    for kind in _KINDS:
+        assert _traced_build(problem, kind, retuned, shared,
+                             pair_log=logs[kind], dirty=dirty) \
+            == _traced_build(problem, kind, retuned, shared)

@@ -51,40 +51,64 @@ class TestNodeFilters:
             assert ours.inbound_node_eligible(tsv) == (load < threshold)
 
 
+def _reuse_row(model, ff, kind, tsvs):
+    """The sweep's FF row: *ff* against every TSV of *tsvs*."""
+    return model.reuse_row(
+        ff, kind, [model.distance_um(ff, tsv) for tsv in tsvs],
+        [model.initial_state(tsv, kind, False) for tsv in tsvs])
+
+
+def _share_row(model, kind, tsvs, i):
+    """The sweep's TSV row: ``tsvs[i]`` against the TSVs after it."""
+    return model.share_row(
+        kind, model.share_term(tsvs[i], kind),
+        [model.distance_um(tsvs[i], other) for other in tsvs[i + 1:]],
+        [model.share_term(other, kind) for other in tsvs[i + 1:]])
+
+
 class TestPairFeasibility:
     def test_untimed_scenario_always_feasible(self, medium_problem):
         config = WcmConfig.ours(Scenario.area_optimized())
         model = ReuseTimingModel(medium_problem, config)
         ff = medium_problem.scan_ffs[0]
-        tsv = medium_problem.inbound_tsvs[0]
-        assert model.inbound_reuse_feasible(ff, tsv)
-        assert model.outbound_reuse_feasible(
-            ff, medium_problem.outbound_tsvs[0])
+        for kind in _TSV_KINDS:
+            assert all(_reuse_row(model, ff, kind,
+                                  medium_problem.tsvs_of_kind(kind)))
+        outbound = medium_problem.outbound_tsvs
+        assert all(_share_row(model, PortKind.TSV_OUTBOUND, outbound, 0))
 
     def test_ff_ff_pairs_never_feasible(self, models):
+        """The sweep has no FF-FF row: no FF ever neighbours an FF, and
+        two FF states never merge."""
         ours, _agrawal, problem = models
-        a, b = problem.scan_ffs[:2]
-        assert not ours.pair_feasible(a, b, PortKind.TSV_INBOUND,
-                                      a_is_ff=True, b_is_ff=True)
+        for kind in _TSV_KINDS:
+            graph = build_wcm_graph(problem, kind, problem.scan_ffs,
+                                    ours.config, ours)
+            for name, neighbours in graph.adjacency.items():
+                if graph.is_ff[name]:
+                    assert not any(graph.is_ff[n] for n in neighbours)
+        a, b = (ours.initial_state(ff, PortKind.TSV_INBOUND, is_ff=True)
+                for ff in problem.scan_ffs[:2])
+        assert ours.merged_state(a, b) is None
 
     def test_accurate_model_stricter_than_load_only(self, models):
         """Anything ours admits under tight timing, [4]'s wire-blind
         model admits too (it ignores a positive cost term)."""
         ours, agrawal, problem = models
-        ffs = problem.scan_ffs[:8]
         tsvs = problem.inbound_tsvs[:8]
-        for ff in ffs:
-            for tsv in tsvs:
-                if ours.inbound_reuse_feasible(ff, tsv):
-                    assert agrawal.inbound_reuse_feasible(ff, tsv)
+        for ff in problem.scan_ffs[:8]:
+            for fits_ours, fits_agrawal in zip(
+                    _reuse_row(ours, ff, PortKind.TSV_INBOUND, tsvs),
+                    _reuse_row(agrawal, ff, PortKind.TSV_INBOUND, tsvs)):
+                assert fits_agrawal or not fits_ours
 
     @pytest.mark.parametrize("method", ["ours", "agrawal"])
     def test_hoisted_checks_match_per_pair_oracle(self, medium_scenarios,
                                                   method):
-        """Every FF-TSV and TSV-TSV pair of both kinds decides exactly
-        as the per-pair formulation does, under thresholds tight enough
-        that each of the four checks rejects some pairs and admits
-        others."""
+        """Every FF-TSV and TSV-TSV pair of both kinds decides in its
+        row exactly as the per-pair formulation does, under thresholds
+        tight enough that each of the four checks rejects some pairs
+        and admits others."""
         _area, tight, problem = medium_scenarios
         scenario = Scenario.performance_optimized(
             tight.clock.period_ps, cap_th_ff=0.3 * tight.cap_th_ff,
@@ -95,17 +119,18 @@ class TestPairFeasibility:
         outcomes = {}
         for kind in _TSV_KINDS:
             tsvs = problem.tsvs_of_kind(kind)
-            pairs = [(ff, tsv, True) for ff in problem.scan_ffs
-                     for tsv in tsvs]
-            pairs += [(a, b, False) for i, a in enumerate(tsvs)
-                      for b in tsvs[i + 1:]]
-            for name_a, name_b, a_is_ff in pairs:
-                got = model.pair_feasible(name_a, name_b, kind, a_is_ff,
-                                          False)
-                assert got == oracle_pair_feasible(
-                    oracle_model, name_a, name_b, kind, a_is_ff), \
-                    (kind, name_a, name_b)
-                outcomes.setdefault((kind, a_is_ff), set()).add(got)
+            rows = [(ff, tsvs, True, _reuse_row(model, ff, kind, tsvs))
+                    for ff in problem.scan_ffs]
+            rows += [(a, tsvs[i + 1:], False,
+                      _share_row(model, kind, tsvs, i))
+                     for i, a in enumerate(tsvs)]
+            for name_a, columns, a_is_ff, fits in rows:
+                assert len(fits) == len(columns)
+                for name_b, got in zip(columns, fits):
+                    assert got == oracle_pair_feasible(
+                        oracle_model, name_a, name_b, kind, a_is_ff), \
+                        (kind, name_a, name_b)
+                    outcomes.setdefault((kind, a_is_ff), set()).add(got)
         assert len(outcomes) == 4
         for check, seen in outcomes.items():
             assert seen == {True, False}, check

@@ -168,6 +168,15 @@ def test_self_check_kills_cheap_mutants():
     assert all(r.evidence for r in results)
 
 
+def test_self_check_kills_share_first_arrival():
+    """An outbound TSV-TSV row that reads only its own TSV's arrival
+    disagrees with the per-pair oracle: the ``graph`` check kills it."""
+    results = self_check(root_seed=0, checks=["graph"],
+                         mutant_names=["share-first-arrival"])
+    assert [r.killed for r in results] == [True], results
+    assert results[0].evidence.startswith("graph[TSV_OUTBOUND]")
+
+
 def test_self_check_mutants_do_not_leak():
     """After a mutant's context exits, the baseline stream is clean
     again — the monkeypatches restore the real kernels."""
