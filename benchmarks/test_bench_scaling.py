@@ -2,7 +2,8 @@
 
 Benches the phases of the scaling sweep on two families at the
 10^3-10^4-gate decades (generation, packed simulation, both sharing
-graphs at the high end and the full WCM flow at the low end), exporting
+graphs and the graph layer's cold per-die set-up at the high end and
+the full WCM flow at the low end), exporting
 ``BENCH_scaling.json`` through the session-finish hook so ``repro bench
 gate`` tracks regressions. Each entry carries the instance's content
 fingerprint as extra info — the gate ignores it, the ``scaling-smoke``
@@ -19,7 +20,7 @@ from repro.bench.families import (FamilySpec, generate_family_die,
                                   netlist_fingerprint)
 from repro.core.config import Scenario, WcmConfig
 from repro.core.flow import run_wcm_flow
-from repro.core.graph import build_wcm_graph
+from repro.core.graph import _cone_bitsets, build_wcm_graph
 from repro.core.problem import build_problem, tight_clock_for
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
@@ -93,6 +94,32 @@ def test_scaling_graph(benchmark, family):
     benchmark.extra_info["gates"] = 10000
     benchmark.extra_info["fingerprint"] = fingerprint(
         {name: graph.stats for name, graph in graph_by_kind.items()})
+
+
+def test_bench_graph_setup(benchmark):
+    """The sharing graph's per-die set-up on the 10^4 grid die, cold:
+    each round compiles the gate graph and computes both kinds' cone
+    bitsets from an empty cache, then counts one estimator's fault
+    universe, as the first flow over a fresh problem does.
+    ``test_scaling_graph`` does not time this: its rounds reuse the
+    bitsets its problem cached in round 1."""
+    problem, _config = _tight_problem("grid", 10000)
+    nodes = {kind: list(problem.scan_ffs) + problem.tsvs_of_kind(kind)
+             for kind in (PortKind.TSV_INBOUND, PortKind.TSV_OUTBOUND)}
+
+    def setup():
+        problem.cone_bitset_cache.clear()
+        bitsets = {kind.name: _cone_bitsets(problem, names, kind)
+                   for kind, names in nodes.items()}
+        return bitsets, OverlapTestabilityEstimator(problem).universe_size()
+
+    bitsets, universe = benchmark(setup)
+    benchmark.extra_info["gates"] = 10000
+    benchmark.extra_info["fingerprint"] = fingerprint({
+        "universe": universe,
+        "cone_gates": {name: sum(bin(bits).count("1")
+                                 for bits in by_node.values())
+                       for name, by_node in bitsets.items()}})
 
 
 @pytest.mark.parametrize("family", ["grid", "htree"])

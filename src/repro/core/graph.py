@@ -22,10 +22,11 @@ model's row forms, :meth:`ReuseTimingModel.share_row` and
 :meth:`ReuseTimingModel.reuse_row`), its cone ANDs and its estimates as
 passes over the columns, so a pair costs its Manhattan distance, a few
 float operations and one big-int AND; only an overlapped FF–TSV pair
-also intersects the two cones for its estimate. The sweep visits every
-pair: at the paper's ``d_th`` (0.8 × the die's half-perimeter) the
-distance limit rejects under 1 % of them, so a spatial index would
-prune almost nothing.
+also counts the AND's bits for its estimate. Each node's cone bitset is
+one DFS over the die's gate graph, compiled once per problem. The sweep
+visits every pair: at the paper's ``d_th`` (0.8 × the die's
+half-perimeter) the distance limit rejects under 1 % of them, so a
+spatial index would prune almost nothing.
 
 The returned :class:`WcmGraph` carries rejection statistics for the
 Fig. 7 edge-count analysis.
@@ -42,7 +43,7 @@ from repro.core.config import WcmConfig
 from repro.core.problem import WcmProblem
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
-from repro.netlist.core import PortKind
+from repro.netlist.core import Netlist, PortKind
 from repro.runtime import trace
 
 
@@ -98,31 +99,97 @@ class PairLog:
         default_factory=list)
 
 
+class _GateGraph:
+    """A die's combinational gates compiled for cone passes.
+
+    Gate ids follow instance order, and each gate keeps its
+    combinational readers (fan-out edges) and drivers (fan-in edges) as
+    id lists. A node's gate cone is then one DFS over ids into a
+    bitmap, read out as an int with one bit per gate: the gates
+    :meth:`repro.dft.cones.ConeAnalysis.gate_cone` returns, since
+    sequential instances and ports end a cone there too.
+    """
+
+    def __init__(self, netlist: Netlist) -> None:
+        self.netlist = netlist
+        instances = netlist.instances
+        self.ids: Dict[str, int] = {}
+        for name, inst in instances.items():
+            if not inst.cell.is_sequential:
+                self.ids[name] = len(self.ids)
+        self.readers: List[List[int]] = [[] for _ in self.ids]
+        self.drivers: List[List[int]] = [[] for _ in self.ids]
+        for name, gate in self.ids.items():
+            out = instances[name].output_net()
+            if out is None:
+                continue
+            for reader in self._readers_of(out):
+                self.readers[gate].append(reader)
+                self.drivers[reader].append(gate)
+        self.width = (len(self.ids) + 7) >> 3  # bitmap bytes
+
+    def _readers_of(self, net_name: str) -> List[int]:
+        ids = self.ids
+        return [ids[sink.owner_name]
+                for sink in self.netlist.nets[net_name].sinks
+                if not sink.is_port and sink.owner_name in ids]
+
+    def _driver_of(self, net_name: str) -> List[int]:
+        driver = self.netlist.nets[net_name].driver
+        if driver is None or driver.is_port \
+                or driver.owner_name not in self.ids:
+            return []
+        return [self.ids[driver.owner_name]]
+
+    def cone(self, name: str, kind: PortKind) -> int:
+        """Bitset of the gates in *name*'s fan-out cone (inbound kind:
+        from an FF's Q or an inbound TSV) or fan-in cone (outbound
+        kind: into an FF's data inputs or an outbound TSV)."""
+        netlist = self.netlist
+        inst = netlist.instances.get(name)
+        if kind is PortKind.TSV_INBOUND:
+            edges, seeds_of = self.readers, self._readers_of
+            starts = [inst.output_net() if inst is not None
+                      else netlist.port(name).net]
+        else:
+            edges, seeds_of = self.drivers, self._driver_of
+            starts = ([net for pin, net in inst.input_nets()
+                       if pin not in ("CK", "SE")] if inst is not None
+                      else [netlist.port(name).net])
+        stack = [gate for net in starts if net is not None
+                 for gate in seeds_of(net)]
+        bitmap = bytearray(self.width)
+        while stack:
+            gate = stack.pop()
+            byte, bit = gate >> 3, 1 << (gate & 7)
+            if not bitmap[byte] & bit:
+                bitmap[byte] |= bit
+                stack += edges[gate]
+        return int.from_bytes(bitmap, "little")
+
+
 def _cone_bitsets(problem: WcmProblem, names: Sequence[str], kind: PortKind
                   ) -> Dict[str, int]:
-    """Cone-as-bitset per node: one shared bit index per object name.
+    """Each node's gate cone as a bitset, one bit per gate id.
 
-    Cones depend only on the (immutable) die topology, so bitsets are
-    cached on the problem per TSV direction and shared across repeated
-    graph builds (methods, retimes, clique restarts). The bit index
-    grows incrementally with newly seen nodes; only AND-emptiness is
-    ever consumed, which is invariant to bit assignment.
+    Cones depend only on the (immutable) die topology, so the compiled
+    gate graph (key ``"gates"``) and the bitsets (keyed by TSV kind)
+    are cached on the problem and shared by every graph build over it
+    and over its retimes (methods, clique restarts, sessions). Gate ids
+    are fixed when the gate graph is compiled, so bitsets from
+    different builds AND correctly.
     """
-    index, bitsets = problem.cone_bitset_cache.setdefault(kind, ({}, {}))
+    cache = problem.cone_bitset_cache
+    gates = cache.get("gates")
+    if gates is None:
+        gates = cache["gates"] = _GateGraph(problem.netlist)
+    bitsets = cache.setdefault(kind, {})
     out: Dict[str, int] = {}
     for name in names:
         value = bitsets.get(name)
         if value is None:
             trace.inc("graph.cone_bitset_builds")
-            cone = problem.cones.gate_cone(name, kind)
-            value = 0
-            for item in cone:
-                bit = index.get(item)
-                if bit is None:
-                    bit = len(index)
-                    index[item] = bit
-                value |= (1 << bit)
-            bitsets[name] = value
+            value = bitsets[name] = gates.cone(name, kind)
         out[name] = value
     return out
 
@@ -207,21 +274,19 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
     # ---- per-node terms, read once per graph ---------------------------
     sites = {name: problem.location_of(name) for name in nodes}
     share_terms = {name: model.share_term(name, kind) for name in tsvs}
-    #: the sweep's columns, one entry per TSV: name, site, cone bits,
+    #: the sweep's columns, one entry per TSV: site, cone bits,
     #: singleton state and share term
-    columns = (tsvs,
-               [sites[name] for name in tsvs],
+    columns = ([sites[name] for name in tsvs],
                [cones[name] for name in tsvs],
                [model.initial_state(name, kind, False) for name in tsvs],
                [share_terms[name] for name in tsvs])
     estimate = (estimator.estimate
                 if config.allow_overlap and estimator is not None else None)
-    overlap = problem.cones.overlap
 
     def evaluate(name_a: str, a_is_ff: bool, cols, lo: int):
         """Distances and outcomes of *name_a*'s row over the columns
         ``cols[k][lo:]``."""
-        names, points, bits, states, terms = cols
+        points, bits, states, terms = cols
         ax, ay = sites[name_a]
         dists = [abs(ax - x) + abs(ay - y) for x, y in points[lo:]]
         if a_is_ff:
@@ -232,14 +297,14 @@ def build_wcm_graph(problem: WcmProblem, kind: PortKind,
         cone_a = cones[name_a]
         # The paper's relaxation (Fig. 4) concerns reusing a *scan FF*
         # despite overlapped cones; TSV-TSV sharing keeps the strict
-        # non-overlap rule in every method.
+        # non-overlap rule in every method. An estimate reads the
+        # overlap's size: the popcount of the AND.
         estimated = a_is_ff and estimate is not None
-        return dists, [((estimate(overlap(name_a, name_b, kind))
+        return dists, [((estimate(bin(shared).count("1"))
                          if estimated else _REJ_OVERLAP)
-                        if cone_a & cone_b else _EDGE)
+                        if (shared := cone_a & cone_b) else _EDGE)
                        if fit else _REJ_TIMING
-                       for fit, cone_b, name_b
-                       in zip(fits, bits[lo:], names[lo:])]
+                       for fit, cone_b in zip(fits, bits[lo:])]
 
     observing = trace.active() is not None
     cov_th, p_th = config.cov_th, config.p_th

@@ -1,4 +1,4 @@
-"""The WCM problem instance: die + placement + baseline timing + cones.
+"""The WCM problem instance: die + placement + baseline timing.
 
 ``build_problem`` performs the pre-algorithm steps of the paper's flow
 (Fig. 6): scan stitching, placement, baseline STA, TSV analysis. The
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.dft.cones import ConeAnalysis
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.wrapper import dedicated_plan, insert_wrappers
 from repro.netlist.core import Netlist, PortKind
@@ -41,7 +40,6 @@ class WcmProblem:
     #: inbound TSV port -> its test mux's output net in the reference
     #: build (stable downstream topology for required-time queries)
     tsv_mux_out: Dict[str, str]
-    cones: ConeAnalysis
     #: the reference build itself (for re-timing under another clock)
     dedicated_netlist: Netlist
     #: critical path of the reference build (ps); basis of the tight
@@ -50,8 +48,9 @@ class WcmProblem:
     #: reusable STA context for the reference build; ``retime`` reuses
     #: it so constraint sweeps skip the graph preparation.
     timing_context: Optional[TimingContext] = None
-    #: cache of cone bitsets keyed by TSV kind, shared by repeated
-    #: graph builds over this problem (see ``core.graph``).
+    #: the compiled gate graph and the cone bitsets keyed by TSV kind,
+    #: shared by repeated graph builds over this problem and its
+    #: retimes (see ``core.graph._cone_bitsets``).
     cone_bitset_cache: Dict = field(default_factory=dict)
     #: reference-build wrapper instance -> the bare-netlist object (TSV
     #: port or FF) it was placed at; lets an ECO session mirror a
@@ -93,7 +92,6 @@ class WcmProblem:
             timing=timing,
             test_timing=test_timing,
             tsv_mux_out=self.tsv_mux_out,
-            cones=self.cones,
             dedicated_netlist=self.dedicated_netlist,
             dedicated_critical_path_ps=self.dedicated_critical_path_ps,
             timing_context=context,
@@ -129,7 +127,6 @@ def build_problem(netlist: Netlist, clock: ClockConstraint = UNCONSTRAINED,
         timing=timing,
         test_timing=test_timing,
         tsv_mux_out=dict(report.mux_out_nets),
-        cones=ConeAnalysis(netlist),
         dedicated_netlist=wrapped,
         # The tight period must be feasible for the dedicated reference
         # build in BOTH sign-off modes (functional and at-speed test).

@@ -15,18 +15,21 @@ estimate is structural and calibrated on the die itself:
 * the pattern increase is one deterministic pattern per ten overlap
   objects.
 
-The universe is counted once per die, on first use. After that an
-estimate is a pure function of the overlap's size, so nothing is cached
-per pair: the caller has already intersected the two cones.
+The universe is counted once per estimator, on first use, in one pass
+over the nets (:func:`repro.atpg.faults.count_faults`; no fault object
+is built, and ``build_fault_list(...).total`` is its oracle). After
+that an estimate is a pure function of the overlap's size, which the
+sharing graph reads as the popcount of two cone bitsets' AND, so
+nothing is cached per pair and no cone is intersected as a set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import Optional
 
-from repro.atpg.faults import build_fault_list
+from repro.atpg.faults import count_faults
 from repro.core.problem import WcmProblem
 from repro.dft.testview import TestView
 from repro.netlist.core import Netlist, PortKind
@@ -75,21 +78,19 @@ class OverlapTestabilityEstimator:
         self.problem = problem
         self._universe: Optional[int] = None
 
-    def _universe_size(self) -> int:
+    def universe_size(self) -> int:
         """Collapsed fault count of the ideal wrapped view (counted on
         first use; never below 1)."""
         if self._universe is None:
             view = build_ideal_wrapped_view(self.problem.netlist)
-            self._universe = max(
-                1, build_fault_list(view, include_branches=True).total)
+            self._universe = max(1, count_faults(view))
         return self._universe
 
-    def estimate(self, overlap: FrozenSet[str]) -> OverlapEstimate:
-        """Impact of letting two nodes share, given their non-empty cone
-        *overlap*: half of the overlap's stem faults (both polarities)
-        are counted as lost and one overlap object in ten needs a
-        deterministic pattern."""
-        at_risk = len(overlap)
-        drop = 0.5 * (2.0 * at_risk) / self._universe_size()
-        extra = math.ceil(0.1 * at_risk)
+    def estimate(self, overlap_size: int) -> OverlapEstimate:
+        """Impact of letting two nodes share, given the size of their
+        non-empty cone overlap (in gates): half of the overlap's stem
+        faults (both polarities) are counted as lost and one overlap
+        object in ten needs a deterministic pattern."""
+        drop = 0.5 * (2.0 * overlap_size) / self.universe_size()
+        extra = math.ceil(0.1 * overlap_size)
         return OverlapEstimate(coverage_drop=drop, extra_patterns=extra)

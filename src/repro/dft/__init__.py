@@ -2,7 +2,7 @@
 
 * :mod:`repro.dft.scan` — scan-chain stitching (placement-aware order).
 * :mod:`repro.dft.cones` — fan-in/fan-out cone queries for scan FFs and
-  TSVs, with caching (Algorithm 1's overlap tests).
+  TSVs, with caching: the reference for Algorithm 1's overlap tests.
 * :mod:`repro.dft.wrapper` — the wrapper plan model (which TSVs share
   which wrapper cell / reused scan FF) and its physical insertion:
   muxes for inbound reuse, XOR+mux for outbound reuse (paper Fig. 3),

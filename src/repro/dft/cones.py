@@ -1,4 +1,4 @@
-"""Cached fan-in/fan-out cone analysis for WCM graph construction.
+"""Cached fan-in/fan-out cone analysis: the reference for WCM graph cones.
 
 Algorithm 1 tests, for every candidate (scan FF, TSV) or (TSV, TSV)
 pair, whether the relevant cones overlap:
@@ -11,7 +11,11 @@ pair, whether the relevant cones overlap:
   FF's D and of each outbound TSV).
 
 Cones are frozensets of object names, computed once per object and
-cached; pair overlap tests are then set intersections.
+cached; pair overlap tests are then set intersections. The sharing
+graph itself does not use this class: it compiles the die's gate graph
+once and keeps each cone as a bitset (``repro.core.graph``).
+:class:`ConeAnalysis` is the reference those bitsets are checked
+against, by ``repro.verify.oracles.oracle_build_graph`` and the tests.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ class ConeAnalysis:
     source (a primary input or the Q of some third flip-flop) is weak
     common-mode correlation, not the shared-logic case of the paper's
     Fig. 4, and counting it would mark nearly every pair of a richly
-    mixed design as overlapping. Raw cones (including ports/FFs) remain
-    available for the testability estimator's region mapping.
+    mixed design as overlapping. Raw cones (including ports/FFs) stay
+    available through :meth:`fanout_of` and :meth:`fanin_of`.
     """
 
     def __init__(self, netlist: Netlist) -> None:

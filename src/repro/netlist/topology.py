@@ -11,13 +11,14 @@ queries on the die netlist:
   TSVs and primary inputs.
 
 Cones are returned as frozensets of object names (instances and ports),
-endpoints included, so overlap tests are set intersections.
+endpoints included. :class:`repro.dft.cones.ConeAnalysis` caches them as
+the reference for the sharing graph's compiled cone bitsets.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet, List, Set
 
 from repro.netlist.core import Netlist, PortDirection
 from repro.util.errors import NetlistError
@@ -189,9 +190,3 @@ def fanin_cone(netlist: Netlist, sink: str) -> FrozenSet[str]:
         raise NetlistError(f"{netlist.name}: unknown object {sink!r}")
     cone.discard(sink)
     return frozenset(cone)
-
-
-def cones_overlap(cone_a: Iterable[str], cone_b: Iterable[str]) -> bool:
-    """True when two cones share any gate, FF or port."""
-    set_a = cone_a if isinstance(cone_a, (set, frozenset)) else set(cone_a)
-    return any(item in set_a for item in cone_b)

@@ -22,7 +22,10 @@ from repro.core.config import WcmConfig
 from repro.core.graph import WcmGraph, build_wcm_graph
 from repro.core.problem import WcmProblem
 from repro.core.session import result_fingerprint
-from repro.core.testability import OverlapTestabilityEstimator
+from repro.core.testability import (
+    OverlapTestabilityEstimator,
+    build_ideal_wrapped_view,
+)
 from repro.core.timing_model import ReuseTimingModel
 from repro.dft.testview import TestView, build_prebond_test_view
 from repro.netlist.core import Netlist, PortKind
@@ -335,7 +338,8 @@ def check_sta_reuse(subject: Subject) -> List[str]:
 
 def check_graph(subject: Subject) -> List[str]:
     """The sharing-graph sweep vs the O(n^2) oracle, for both TSV
-    directions."""
+    directions, and the estimator's counted fault universe vs the
+    length of the listed one."""
     out: List[str] = []
     problem = subject.problem
     ffs = list(problem.scan_ffs)
@@ -346,6 +350,12 @@ def check_graph(subject: Subject) -> List[str]:
                                     estimator=subject.fresh_estimator())
         out += _compare_graph(f"graph[{kind.name}] kernel-vs-oracle",
                               kernel, oracle)
+    counted = OverlapTestabilityEstimator(problem).universe_size()
+    listed = max(1, build_fault_list(
+        build_ideal_wrapped_view(problem.netlist)).total)
+    if counted != listed:
+        out.append(f"graph[universe]: the estimator counted {counted} "
+                   f"faults, the ideal view's fault list holds {listed}")
     return out
 
 
@@ -408,8 +418,6 @@ def _transformed_problem(subject: Subject, transform) -> WcmProblem:
     (node locations, pair distances, ``d_th`` span) over the same
     timing database.
     """
-    from repro.dft.cones import ConeAnalysis
-
     clone = subject.problem.netlist.clone()
     for inst in clone.instances.values():
         inst.x, inst.y = transform(inst.x, inst.y)
@@ -421,7 +429,6 @@ def _transformed_problem(subject: Subject, transform) -> WcmProblem:
         timing=base.timing,
         test_timing=base.test_timing,
         tsv_mux_out=base.tsv_mux_out,
-        cones=ConeAnalysis(clone),
         dedicated_netlist=base.dedicated_netlist,
         dedicated_critical_path_ps=base.dedicated_critical_path_ps,
     )

@@ -131,6 +131,33 @@ def _mutant_cone_bitset_alias() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def _mutant_universe_count_skips_obs_branches() -> Iterator[None]:
+    """The estimator's universe count leaves out observation-branch
+    faults: every coverage drop reads too large, silently rejecting
+    overlapped pairs the listed universe would admit."""
+    from repro.atpg import faults
+    from repro.core import testability
+
+    original = testability.count_faults
+
+    def short(view) -> int:
+        total = 0
+        for _net, stems, branches in faults._fault_sites(
+                view, True, True, faults.FaultList()):
+            total += len(stems)
+            for kind, _pin, polarities in branches:
+                if kind is not faults.FaultKind.OBS_BRANCH:
+                    total += len(polarities)
+        return total
+
+    testability.count_faults = short
+    try:
+        yield
+    finally:
+        testability.count_faults = original
+
+
+@contextlib.contextmanager
 def _mutant_podem_activation_is_detection() -> Iterator[None]:
     """PODEM stops as soon as the fault site is activated: cubes that
     never propagate the fault effect are reported as tests."""
@@ -324,6 +351,9 @@ MUTANTS: Dict[str, tuple] = {
                         _mutant_obs_branch_dead),
     "cone-bitset-alias": ("cone bitsets share a phantom overlap bit",
                           _mutant_cone_bitset_alias),
+    "universe-count-skips-obs-branches": (
+        "the estimator's universe count leaves out observation-branch "
+        "faults", _mutant_universe_count_skips_obs_branches),
     "podem-activation-is-detection": (
         "PODEM reports detection on fault activation",
         _mutant_podem_activation_is_detection),

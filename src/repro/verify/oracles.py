@@ -26,10 +26,14 @@ levelized STA with reusable     path-enumeration: memoized recursion
 context (``sta/timer.py``)      over the netlist, all loads and wire
                                 delays recomputed from scratch
 sharing-graph sweep             O(n^2) sweep over all pairs with
-(``core/graph.py``) and its     frozenset cone intersection (no
-hoisted timing checks           bitsets, no pair log) and every
-(``core/timing_model.py``)      timing term derived per pair (no
-                                per-node caches)
+(``core/graph.py``: compiled    per-node cone traversals and
+gate-graph cone bitsets,        frozenset cone intersection (no
+popcount overlaps) and its      bitsets, no pair log) and every
+hoisted timing checks           timing term derived per pair (no
+(``core/timing_model.py``)      per-node caches)
+fault-universe count            the length of the listed universe,
+(``atpg/faults.py``, read by    ``build_fault_list`` of the same
+the testability estimator)      ideal wrapped view
 heuristic clique partition      exact minimum clique partition by
 (``core/clique.py``)            branch-and-bound (small instances) —
                                 a lower bound on any valid partition
@@ -68,6 +72,7 @@ from repro.core.graph import GraphStats, WcmGraph, effective_d_th
 from repro.core.problem import WcmProblem
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import PREDICTION_MARGIN_PS, ReuseTimingModel
+from repro.dft.cones import ConeAnalysis
 from repro.dft.testview import TestView
 from repro.netlist.core import Instance, Netlist, PortDirection, PortKind
 from repro.netlist.library import LOGIC_FUNCTIONS
@@ -669,8 +674,9 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
                        estimator: Optional[OverlapTestabilityEstimator] = None
                        ) -> WcmGraph:
     """Algorithm 1 without the kernels: every pair visited explicitly
-    (no pair log), cone overlap via frozenset intersection (no
-    bitsets), distances straight from coordinates (no memo).
+    (no pair log), cones from :class:`ConeAnalysis` traversals and
+    overlaps via frozenset intersection (no gate graph, no bitsets),
+    distances straight from coordinates (no memo).
 
     The timing check is :func:`oracle_pair_feasible`, the per-pair
     formulation of the model's hoisted checks. Pass a *fresh*
@@ -700,7 +706,8 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
     stats.nodes = len(nodes)
     stats.excluded_tsvs = len(excluded)
 
-    cones = {name: problem.cones.gate_cone(name, kind) for name in nodes}
+    analysis = ConeAnalysis(problem.netlist)
+    cones = {name: analysis.gate_cone(name, kind) for name in nodes}
     location = {name: problem.location_of(name) for name in nodes}
     d_th = effective_d_th(problem, config)
     check_distance = math.isfinite(d_th) and config.scenario.is_timed
@@ -723,8 +730,8 @@ def oracle_build_graph(problem: WcmProblem, kind: PortKind,
         if not a_is_ff or not config.allow_overlap or estimator is None:
             stats.rejected_overlap += 1
             return
-        overlap = problem.cones.overlap(name_a, name_b, kind)
-        estimate = estimator.estimate(overlap)
+        overlap = analysis.overlap(name_a, name_b, kind)
+        estimate = estimator.estimate(len(overlap))
         if estimate.within(config.cov_th, config.p_th):
             adjacency[name_a].add(name_b)
             adjacency[name_b].add(name_a)

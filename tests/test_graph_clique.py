@@ -9,6 +9,7 @@ from repro.core.config import Scenario, WcmConfig
 from repro.core.graph import build_wcm_graph, effective_d_th
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
+from repro.dft.cones import ConeAnalysis
 from repro.netlist.core import PortKind
 
 
@@ -51,7 +52,7 @@ class TestGraphConstruction:
     def test_edges_respect_cone_rule(self, area_graphs, medium_problem):
         """Every baseline edge joins non-overlapping (gate) cones."""
         _config, _model, inbound, _ = area_graphs
-        cones = medium_problem.cones
+        cones = ConeAnalysis(medium_problem.netlist)
         checked = 0
         for node, neighbours in inbound.adjacency.items():
             for other in neighbours:

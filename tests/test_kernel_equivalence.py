@@ -15,14 +15,25 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.atpg.faults import build_fault_list, count_faults
 from repro.atpg.sim import BlockDetector, CompiledCircuit
+from repro.bench.families import FAMILIES
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
 from repro.core.config import Scenario, WcmConfig
-from repro.core.graph import PairLog, build_wcm_graph, effective_d_th
+from repro.core.graph import (
+    PairLog,
+    _cone_bitsets,
+    build_wcm_graph,
+    effective_d_th,
+)
 from repro.core.problem import build_problem, tight_clock_for
-from repro.core.testability import OverlapTestabilityEstimator
+from repro.core.testability import (
+    OverlapTestabilityEstimator,
+    build_ideal_wrapped_view,
+)
 from repro.core.timing_model import ReuseTimingModel
+from repro.dft.cones import ConeAnalysis
 from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.core import PortKind
@@ -215,6 +226,45 @@ def test_grid_sweep_zero_threshold_rejects_all_pairs(timed_problem):
                                config)
     assert grid.stats == brute.stats
     assert grid.stats.edges == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=st.builds(InstanceSpec,
+                      seed=st.integers(min_value=0, max_value=10**6),
+                      gates=st.integers(min_value=20, max_value=80),
+                      ffs=st.integers(min_value=1, max_value=8),
+                      tsv_in=st.integers(min_value=0, max_value=6),
+                      tsv_out=st.integers(min_value=0, max_value=6),
+                      family=st.sampled_from(("itc99",) + FAMILIES),
+                      # cones and fault universes ignore the clock
+                      scenario=st.just("area")))
+def test_cone_bitsets_and_universe_count_match_their_oracles(spec):
+    """On generated stitched dies, for both kinds and every FF and TSV
+    node: each compiled cone bitset holds as many gates as
+    ``ConeAnalysis.gate_cone``, and every pair's AND is empty exactly
+    when ``ConeAnalysis.overlap`` is, with its popcount as the overlap's
+    size. The counted fault universe equals the listed one on the ideal
+    wrapped view and on the pre-bond view, whose inbound TSV nets are
+    X sources."""
+    problem = spec.build_problem()
+    cones = ConeAnalysis(problem.netlist)
+    for kind in _KINDS:
+        names = list(problem.scan_ffs) + problem.tsvs_of_kind(kind)
+        bits = _cone_bitsets(problem, names, kind)
+        for name in names:
+            assert bin(bits[name]).count("1") \
+                == len(cones.gate_cone(name, kind))
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                shared = bits[a] & bits[b]
+                overlap = cones.overlap(a, b, kind)
+                assert bool(shared) == bool(overlap)
+                assert bin(shared).count("1") == len(overlap)
+    for view in (build_ideal_wrapped_view(problem.netlist),
+                 build_prebond_test_view(problem.netlist)):
+        assert count_faults(view) == build_fault_list(view).total
+    assert build_prebond_test_view(problem.netlist).x_nets \
+        or not problem.inbound_tsvs
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.core.testability import (
     OverlapTestabilityEstimator,
     build_ideal_wrapped_view,
 )
+from repro.dft.cones import ConeAnalysis
 from repro.netlist.core import PortKind
 from repro.runtime import trace
 
@@ -19,12 +20,17 @@ def estimator(medium_problem):
     return OverlapTestabilityEstimator(medium_problem), medium_problem
 
 
-def overlapped_pairs(problem, kind, limit=6):
+@pytest.fixture(scope="module")
+def cones(medium_problem):
+    return ConeAnalysis(medium_problem.netlist)
+
+
+def overlapped_pairs(cones, problem, kind, limit=6):
     tsvs = problem.tsvs_of_kind(kind)
     pairs = []
     for i, a in enumerate(tsvs):
         for b in tsvs[i + 1:]:
-            region = problem.cones.overlap(a, b, kind)
+            region = cones.overlap(a, b, kind)
             if region:
                 pairs.append((a, b, region))
                 if len(pairs) >= limit:
@@ -47,56 +53,59 @@ class TestIdealView:
 
 
 class TestEstimates:
-    def test_estimates_are_bounded_and_cached(self, medium_problem,
+    def test_estimates_are_bounded_and_cached(self, medium_problem, cones,
                                               monkeypatch):
         """Estimates stay in range, and the fault universe behind them
         is counted once per estimator, on first use."""
         counted = []
-        real = testability.build_fault_list
+        real = testability.count_faults
 
-        def counting_build_fault_list(*args, **kwargs):
+        def counting_count_faults(*args, **kwargs):
             counted.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(testability, "build_fault_list",
-                            counting_build_fault_list)
+        monkeypatch.setattr(testability, "count_faults",
+                            counting_count_faults)
         est = OverlapTestabilityEstimator(medium_problem)
         assert not counted  # lazily: nothing counted before an estimate
-        pairs = overlapped_pairs(medium_problem, PortKind.TSV_INBOUND)
+        pairs = overlapped_pairs(cones, medium_problem, PortKind.TSV_INBOUND)
         assert pairs, "expected intra-cluster overlapped pairs"
         for _a, _b, region in pairs:
-            result = est.estimate(region)
+            result = est.estimate(len(region))
             assert 0.0 <= result.coverage_drop <= 1.0
             assert result.extra_patterns >= 0
         assert len(counted) == 1
 
-    def test_cache_is_symmetric(self, estimator):
+    def test_cache_is_symmetric(self, estimator, cones):
         """A pair's estimate does not depend on which node comes first."""
         est, problem = estimator
-        pairs = overlapped_pairs(problem, PortKind.TSV_OUTBOUND, limit=2)
+        pairs = overlapped_pairs(cones, problem, PortKind.TSV_OUTBOUND,
+                                 limit=2)
         assert pairs, "expected intra-cluster overlapped pairs"
         for a, b, region in pairs:
-            swapped = problem.cones.overlap(b, a, PortKind.TSV_OUTBOUND)
+            swapped = cones.overlap(b, a, PortKind.TSV_OUTBOUND)
             assert swapped == region
-            assert est.estimate(swapped) == est.estimate(region)
+            assert est.estimate(len(swapped)) == est.estimate(len(region))
 
-    def test_estimate_is_a_pure_function_of_the_overlap(self, estimator):
+    def test_estimate_is_a_pure_function_of_the_overlap(self, estimator,
+                                                        cones):
         est, problem = estimator
-        pairs = (overlapped_pairs(problem, PortKind.TSV_INBOUND)
-                 + overlapped_pairs(problem, PortKind.TSV_OUTBOUND, limit=2))
+        pairs = (overlapped_pairs(cones, problem, PortKind.TSV_INBOUND)
+                 + overlapped_pairs(cones, problem, PortKind.TSV_OUTBOUND,
+                                    limit=2))
         assert pairs, "expected intra-cluster overlapped pairs"
         fresh = OverlapTestabilityEstimator(problem)
         for _a, _b, region in pairs:
-            result = est.estimate(region)
-            # same overlap, same estimate: again, and from an estimator
-            # that counts its own universe
-            assert est.estimate(frozenset(region)) == result
-            assert fresh.estimate(region) == result
+            result = est.estimate(len(region))
+            # same overlap size, same estimate: again, and from an
+            # estimator that counts its own universe
+            assert est.estimate(len(region)) == result
+            assert fresh.estimate(len(region)) == result
 
     def test_structural_mode_scales_with_overlap(self, medium_problem):
         est = OverlapTestabilityEstimator(medium_problem)
-        small = est.estimate(frozenset({"g1"}))
-        big = est.estimate(frozenset(f"g{i}" for i in range(40)))
+        small = est.estimate(1)
+        big = est.estimate(40)
         assert big.coverage_drop > small.coverage_drop
         assert big.extra_patterns >= small.extra_patterns
 

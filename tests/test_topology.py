@@ -5,7 +5,6 @@ import pytest
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.topology import (
     combinational_levels,
-    cones_overlap,
     fanin_cone,
     fanout_cone,
     topological_instances,
@@ -82,11 +81,6 @@ class TestCones:
             fanin_cone(tiny_netlist, "a__port")  # input port
         with pytest.raises(NetlistError):
             fanout_cone(tiny_netlist, "ghost")
-
-    def test_cones_overlap_helper(self):
-        assert cones_overlap({"a", "b"}, {"b", "c"})
-        assert not cones_overlap({"a"}, {"b"})
-        assert not cones_overlap(set(), {"b"})
 
     def test_cone_locality_in_clustered_die(self, medium_die):
         """Clustering keeps cones well below whole-die size."""

@@ -177,6 +177,20 @@ def test_self_check_kills_share_first_arrival():
     assert results[0].evidence.startswith("graph[TSV_OUTBOUND]")
 
 
+def test_self_check_graph_alone_kills_cone_and_universe_mutants():
+    """The ``graph`` check alone kills a phantom cone bit (bit ids
+    follow instance order, so it is gate id 0) and a universe count
+    that leaves out observation-branch faults. The kernel-vs-oracle
+    comparison cannot see the count, since both sides read it; the
+    check's universe comparison does."""
+    results = self_check(root_seed=0, checks=["graph"],
+                         mutant_names=["cone-bitset-alias",
+                                       "universe-count-skips-obs-branches"])
+    assert [r.killed for r in results] == [True, True], results
+    assert results[0].evidence.startswith("graph[TSV_")
+    assert results[1].evidence.startswith("graph[universe]")
+
+
 def test_self_check_mutants_do_not_leak():
     """After a mutant's context exits, the baseline stream is clean
     again — the monkeypatches restore the real kernels."""
