@@ -24,7 +24,7 @@ from repro.dft.testview import build_prebond_test_view
 from repro.dft.wrapper import dedicated_plan, insert_wrappers
 from repro.netlist.core import PortKind
 from repro.place.placer import place_die
-from repro.sta.timer import TimingAnalyzer
+from repro.sta.timer import TimingContext
 from repro.util.rng import DeterministicRng
 
 
@@ -52,7 +52,7 @@ def test_bench_generate_and_place(benchmark, echo):
 
 
 def test_bench_sta(benchmark, kernel_die):
-    timer = TimingAnalyzer(kernel_die)
+    timer = TimingContext(kernel_die)
     result = benchmark(timer.analyze)
     assert result.critical_path_ps > 0
 

@@ -118,9 +118,6 @@ class CompiledCircuit:
             if nid not in seen:
                 seen.add(nid)
                 self.input_columns.append(nid)
-        self.column_of: Dict[int, int] = {
-            nid: column for column, nid in enumerate(self.input_columns)
-        }
         self.constant_nets: Dict[int, int] = {
             self.net_ids[net]: value for net, value in view.constant_nets.items()
         }
@@ -199,13 +196,6 @@ class CompiledCircuit:
     @property
     def input_count(self) -> int:
         return len(self.input_columns)
-
-    def column_of_net(self, net_name: str) -> Optional[int]:
-        """Input column index of a control net (None if not a control)."""
-        nid = self.net_ids.get(net_name)
-        if nid is None:
-            return None
-        return self.column_of.get(nid)
 
     def make_buffer(self) -> List[int]:
         """A reusable value buffer for :meth:`simulate`'s ``out=``.

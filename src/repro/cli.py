@@ -345,7 +345,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
                 caps, flow=args.flow_cap if args.flow_cap > 0 else None)
         report = run_scaling(
             families, gate_points, densities or (40.0,),
-            seed=getattr(args, "seed", 2019) or 2019,
+            seed=getattr(args, "seed", 2019),
             repeat=args.repeat, caps=caps,
             progress=(print if getattr(args, "verbose", False)
                       else None))
@@ -419,7 +419,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
                                     result_fingerprint)
     from repro.netlist.core import PortKind
 
-    seed = getattr(args, "seed", None) or 2019
+    seed = getattr(args, "seed", 2019)
     profile = die_profile(args.circuit, args.die)
     netlist = generate_die(profile, seed=seed)
     problem = build_problem(netlist)
@@ -797,11 +797,9 @@ def main(argv=None) -> int:
                               metavar="G",
                               help="skip full flow/ECO above G gates "
                                    "(default 20000; 0 disables)")
-    scale_parser.add_argument("--out", default="BENCH_scaling.json",
-                              metavar="PATH",
-                              help="BENCH-compatible timings output "
-                                   "(default BENCH_scaling.json; '-' "
-                                   "skips the file)")
+    scale_parser.add_argument("--out", default="-", metavar="PATH",
+                              help="write the BENCH-compatible timings "
+                                   "to PATH (default '-': no file)")
 
     schedule_parser = sub.add_parser(
         "schedule", parents=[common],

@@ -3,7 +3,9 @@
 Pipeline (Fig. 6 of the paper):
 
 1. :mod:`repro.core.problem` — bundle a scan-stitched, placed die with
-   its baseline STA into a :class:`WcmProblem`.
+   its baseline STA into a :class:`WcmProblem`; its
+   ``SignoffBuild`` inserts, restitches and times a wrapper plan, cold
+   or warm, for the baseline and every sign-off round.
 2. :mod:`repro.core.timing_model` — the *accurate* timing model
    (capacity load + wire delay from FF/TSV coordinates) and the
    load-only model of Agrawal et al. [4].

@@ -60,10 +60,6 @@ class CliquePartition:
     singleton_rescues: int = 0
 
     @property
-    def reused_ff_count(self) -> int:
-        return sum(1 for c in self.cliques if c.is_reuse)
-
-    @property
     def additional_cells(self) -> int:
         """Cliques holding TSVs but no FF (excluded TSVs counted later)."""
         return sum(1 for c in self.cliques if c.tsvs and c.ff is None)

@@ -136,7 +136,3 @@ class WcmConfig:
     def without_overlap(self) -> "WcmConfig":
         """Ours with overlapped-cone sharing disabled (Table V / Fig 7)."""
         return replace(self, allow_overlap=False)
-
-    @property
-    def is_area_scenario(self) -> bool:
-        return not self.scenario.is_timed

@@ -10,12 +10,16 @@ For one prepared die and one method configuration:
    (Algorithm 2). FFs reused in the first pass are consumed.
 3. **Wrapper generation** — cliques become a
    :class:`~repro.dft.wrapper.WrapperPlan`; excluded TSVs get
-   dedicated cells; the plan is physically inserted and scan chains
-   restitched.
-4. **Sign-off** — final STA of the wrapped die under the scenario
-   clock decides the Table III timing-violation verdict; ATPG
-   (:func:`measure_testability`) provides the Table IV/V coverage and
-   pattern counts.
+   dedicated cells.
+4. **Sign-off** — each round builds the plan as a
+   :class:`~repro.core.problem.SignoffBuild` (insertion, restitch, one
+   timing context) and analyzes both modes under the scenario clock;
+   the final round decides the Table III timing-violation verdict.
+   ATPG (:func:`measure_testability`) provides the Table IV/V coverage
+   and pattern counts.
+
+The steps an ECO session memoizes are :class:`FlowHooks`; the session
+(``repro.core.session``) is itself a subclass.
 """
 
 from __future__ import annotations
@@ -29,15 +33,14 @@ from repro.atpg.transition import run_transition_atpg
 from repro.core.clique import CliquePartition, partition_cliques
 from repro.core.config import WcmConfig
 from repro.core.graph import GraphStats, WcmGraph, build_wcm_graph
-from repro.core.problem import WcmProblem
+from repro.core.problem import SignoffBuild, WcmProblem
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import FfReuseLedger, ReuseTimingModel
-from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
-from repro.dft.wrapper import InsertionReport, WrapperGroup, WrapperPlan, insert_wrappers
+from repro.dft.wrapper import InsertionReport, WrapperGroup, WrapperPlan
 from repro.netlist.core import Netlist, PortKind
 from repro.runtime import trace
-from repro.sta.timer import TimingContext, TimingResult, default_case
+from repro.sta.timer import TimingResult
 from repro.util.errors import ConfigError
 
 
@@ -241,32 +244,20 @@ def signoff_violations(functional_timing: TimingResult,
 def signoff_build(problem: WcmProblem, plan: WrapperPlan, config: WcmConfig
                   ) -> Tuple[Netlist, InsertionReport, TimingResult,
                              TimingResult]:
-    """One sign-off round's physical build + STA: insert the plan,
-    restitch, analyze both sign-off modes."""
-    with trace.span("flow.insertion", kind="phase"):
-        wrapped, report = insert_wrappers(problem.netlist, plan)
-        stitch_scan_chains(wrapped, restitch=True)
-    with trace.span("flow.sta", kind="phase"):
-        # One context serves both sign-off modes: the graph prep
-        # (positions, loads, wire delays) is shared, only the
-        # arrival/required sweeps differ per case.
-        context = TimingContext(wrapped)
-        functional_timing = context.analyze(
-            config.scenario.clock,
-            case=default_case(wrapped, test_mode=0))
-        test_timing = context.analyze(
-            config.scenario.clock,
-            case=default_case(wrapped, test_mode=1))
-    return wrapped, report, functional_timing, test_timing
+    """One sign-off round built cold (:meth:`SignoffBuild.signoff`):
+    insert the plan, restitch, analyze both sign-off modes."""
+    build, (functional, test) = SignoffBuild.signoff(
+        problem.netlist, plan, config.scenario.clock)
+    return build.wrapped, build.report, functional, test
 
 
 class FlowHooks:
     """Substitutable steps of :func:`run_wcm_flow`.
 
     The defaults reproduce the cold flow exactly; an incremental
-    session (``repro.core.session``) overrides them with memoized
-    variants whose results must stay byte-identical — enforced by the
-    ``eco`` differential check in ``repro.verify``.
+    session (:class:`repro.core.session.WcmSession`) overrides them
+    with memoized variants whose results must stay byte-identical —
+    enforced by the ``eco`` differential check in ``repro.verify``.
     """
 
     def make_model(self, problem: WcmProblem,
@@ -397,12 +388,6 @@ class TestabilityReport:
     @property
     def stuck_at_pair(self) -> Tuple[float, int]:
         return (self.stuck_at.coverage, self.stuck_at.pattern_count)
-
-    @property
-    def transition_pair(self) -> Optional[Tuple[float, int]]:
-        if self.transition is None:
-            return None
-        return (self.transition.coverage, self.transition.pattern_count)
 
 
 def measure_testability(result: WcmRunResult,

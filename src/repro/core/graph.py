@@ -75,10 +75,6 @@ class WcmGraph:
     excluded_tsvs: List[str]
     stats: GraphStats = field(default_factory=GraphStats)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(n) for n in self.adjacency.values()) // 2
-
 
 @dataclass
 class PairLog:

@@ -7,12 +7,14 @@ perturbs only a small neighbourhood of the sharing graph.
 :class:`WcmSession` loads a die once and serves a typed edit stream,
 re-solving incrementally:
 
-* **Baseline delta.** A position edit is mirrored into the dedicated
-  reference build (same-name objects plus the wrapper gear anchored at
-  them, via ``WcmProblem.dedicated_anchors``); the warm
-  :class:`~repro.sta.timer.TimingContext` refreshes loads/wire delays
-  with ``invalidate_nets`` and re-times both sign-off modes with
-  ``analyze_delta`` instead of full sweeps.
+* **One warm path.** The problem's dedicated reference build and
+  every cached sign-off build is a :class:`~repro.core.problem.SignoffBuild`,
+  and each solve *follows* them to the bare die's FF/TSV sites
+  (:meth:`~repro.core.problem.SignoffBuild.follow`): moved sites are
+  copied onto their twins and the wrapper gear anchored at them, a
+  changed serpentine order is restitched in place, and the warm
+  :class:`~repro.sta.timer.TimingContext` re-times both sign-off modes
+  with ``invalidate_nets`` + ``analyze_delta`` instead of full sweeps.
 * **Dirty region.** Per-node signatures capture everything the
   sharing graph's row kernel reads of a node (position, baseline
   arrivals/requireds, loads). Each direction keeps the row-shaped pair
@@ -27,14 +29,14 @@ re-solving incrementally:
   leaves a kind's graph and node states untouched,
   :func:`repro.core.clique.repartition` re-emits the frozen partition
   without re-running Algorithm 2.
-* **Sign-off cache.** Wrapped builds are cached per plan fingerprint;
-  a cache hit mirrors the moved positions, invalidates the affected
-  nets and delta-times both modes on the entry's warm context —
-  skipping insertion, restitching and full STA.
-* **Fallback.** Structural edits (``AddTsv``/``RemoveTsv``), a scan
-  restitch-order change, or a dirty fraction above ``fallback_ratio``
-  drop the scoped path and re-solve cold (the pair logs and other
-  memos are rebuilt on the way through).
+* **Sign-off cache.** Sign-off builds are cached per plan
+  fingerprint with their last results; a cache hit follows the build
+  to the solve's sites, skipping insertion and full STA.
+* **Fallback.** Structural edits (``AddTsv``/``RemoveTsv``) or a
+  dirty fraction above ``fallback_ratio`` drop the scoped path and
+  re-solve cold (the pair logs and other memos are rebuilt on the way
+  through). A chain-order change is not a fallback: the warm path
+  restitches in place (reported as ``last_fallback == "restitch"``).
 
 Every scoped mechanism is differentially verified against a cold solve
 as the oracle — results, per-category stats and manifest fingerprints
@@ -45,20 +47,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.core.clique import CliquePartition, Clique, partition_cliques, repartition
 from repro.core.config import WcmConfig
 from repro.core.flow import FlowHooks, WcmRunResult, run_wcm_flow
 from repro.core.graph import PairLog, WcmGraph, build_wcm_graph
-from repro.core.problem import WcmProblem, build_problem
+from repro.core.problem import (SignoffBuild, SignoffTiming, WcmProblem,
+                                build_problem)
 from repro.core.testability import OverlapTestabilityEstimator
 from repro.core.timing_model import ReuseTimingModel
-from repro.dft.scan import _serpentine_order, stitch_scan_chains
-from repro.dft.wrapper import InsertionReport, insert_wrappers
 from repro.netlist.core import Netlist, PortKind
 from repro.runtime import trace
-from repro.sta.timer import TimingContext, TimingResult, default_case
 from repro.util.errors import ConfigError
 
 
@@ -122,52 +122,6 @@ Edit = Union[MoveFf, MoveTsv, AddTsv, RemoveTsv, SetThreshold]
 # ---------------------------------------------------------------------------
 # Memoized flow pieces
 # ---------------------------------------------------------------------------
-@dataclass
-class _WrappedBuild:
-    """One cached sign-off build (keyed by its plan's fingerprint)."""
-
-    wrapped: Netlist
-    report: InsertionReport
-    context: TimingContext
-    functional: TimingResult
-    test: TimingResult
-    #: bare anchor (FF/TSV) positions at the entry's last STA
-    positions: Dict[str, Tuple[float, float]]
-    #: serpentine restitch order the build was stitched with
-    order: List[str]
-    #: bare anchor name -> wrapper instances placed at it
-    anchors_rev: Dict[str, List[str]]
-
-
-_SCAN_PORT_KINDS = (PortKind.SCAN_IN, PortKind.SCAN_OUT,
-                    PortKind.SCAN_ENABLE)
-
-
-def _scan_port_nets(netlist: Netlist) -> Set[str]:
-    return {port.net for port in netlist.ports.values()
-            if port.kind in _SCAN_PORT_KINDS and port.net is not None}
-
-
-def _restitch_in_place(netlist: Netlist) -> Set[str]:
-    """Rewire the scan chains of an already-stitched netlist and return
-    the nets whose timing quantities can change. A chain-order change
-    only re-routes SI wiring — untimed and excluded from every load —
-    except at the scan ports: the shared scan-enable net (its SE sink
-    order feeds the load sum), the scan-in nets, and the old and new
-    chain-tail Q nets that carry the scan-out ports (an output-port
-    sink adds load and an endpoint)."""
-    affected = _scan_port_nets(netlist)
-    stitch_scan_chains(netlist, restitch=True)
-    return affected | _scan_port_nets(netlist)
-
-
-def _reverse_anchors(anchors: Dict[str, str]) -> Dict[str, List[str]]:
-    rev: Dict[str, List[str]] = {}
-    for inst, anchor in anchors.items():
-        rev.setdefault(anchor, []).append(inst)
-    return rev
-
-
 def _copy_partition(partition: CliquePartition) -> CliquePartition:
     """Pristine copy to freeze — the flow mutates partitions in place
     (FF adoption), states are never mutated and may be shared."""
@@ -191,35 +145,15 @@ def _graph_sig(graph: WcmGraph):
             graph.stats)
 
 
-class _SessionHooks(FlowHooks):
-    def __init__(self, session: "WcmSession") -> None:
-        self._session = session
-
-    def make_model(self, problem, config):
-        return self._session._solve_model
-
-    def make_estimator(self, problem, config):
-        return self._session._make_estimator(problem, config)
-
-    def build_graph(self, problem, kind, available_ffs, config, model,
-                    estimator):
-        return self._session._build_graph(problem, kind, available_ffs,
-                                          config, model, estimator)
-
-    def partition(self, graph, model):
-        return self._session._partition(graph, model)
-
-    def signoff(self, problem, plan, config):
-        return self._session._signoff(problem, plan, config)
-
-
 # ---------------------------------------------------------------------------
 # The session
 # ---------------------------------------------------------------------------
-class WcmSession:
+class WcmSession(FlowHooks):
     """Hold one die and serve incremental WCM re-solves over an edit
     stream. See the module docstring for the mechanism; results are
     byte-identical to ``run_wcm_flow`` on a freshly built problem.
+    The session is the flow's hooks: each one serves its step from the
+    session's memos.
 
     The session owns *netlist* (edits mutate it) and the returned
     ``WcmRunResult.wrapped_netlist`` objects may be shared across
@@ -244,15 +178,13 @@ class WcmSession:
         self._merge_memo: Dict = {}
         self._pair_logs: Dict[PortKind, PairLog] = {}
         self._frozen: Dict[PortKind, Tuple[object, CliquePartition]] = {}
-        self._plan_cache: Dict[tuple, _WrappedBuild] = {}
+        #: plan key -> its sign-off build and that build's last results
+        self._plan_cache: Dict[tuple, Tuple[SignoffBuild, SignoffTiming]] = {}
         self._node_sigs: Dict[str, tuple] = {}
         self._estimator: Optional[OverlapTestabilityEstimator] = None
-        # pending-edit state
-        self._moved: Set[str] = set()
+        # pending-edit state (moves need none: every build compares its
+        # twins with the bare die's sites)
         self._structural = False
-        # baseline bookkeeping
-        self._base_rev = _reverse_anchors(self.problem.dedicated_anchors)
-        self._base_order = self._dedicated_order()
         # telemetry of the last solve (read by the CLI)
         self.last_dirty_frac = 0.0
         self.last_fallback: Optional[str] = None
@@ -260,9 +192,9 @@ class WcmSession:
         # per-solve scratch (set in solve())
         self._solve_model: Optional[ReuseTimingModel] = None
         self._solve_dirty: Set[str] = set()
-        #: FF/TSV sites of the solve; no edit lands mid-solve, so every
-        #: sign-off round reads the same map
-        self._solve_positions: Dict[str, Tuple[float, float]] = {}
+        #: FF/TSV sites of the solve; no edit lands mid-solve, so the
+        #: baseline and every sign-off round follow the same map
+        self._solve_sites: Dict[str, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Edits
@@ -277,13 +209,11 @@ class WcmSession:
             if not inst.is_scan:
                 raise ConfigError(f"{edit.name} is not a scan flip-flop")
             inst.x, inst.y = edit.x, edit.y
-            self._moved.add(edit.name)
         elif isinstance(edit, MoveTsv):
             port = netlist.port(edit.name)
             if not port.is_tsv:
                 raise ConfigError(f"{edit.name} is not a TSV")
             port.x, port.y = edit.x, edit.y
-            self._moved.add(edit.name)
         elif isinstance(edit, AddTsv):
             self._add_tsv(edit)
             self._structural = True
@@ -346,6 +276,7 @@ class WcmSession:
 
     def _solve(self) -> WcmRunResult:
         self.last_fallback = None
+        self._solve_sites = self._sites()
         if self._structural:
             self._fallback("structural")
         else:
@@ -370,11 +301,8 @@ class WcmSession:
         self._node_sigs = sigs
         self._solve_model = model
         self._solve_dirty = dirty
-        self._solve_positions = self._anchor_positions()
-        self._moved.clear()
 
-        result = run_wcm_flow(self.problem, self.config,
-                              hooks=_SessionHooks(self))
+        result = run_wcm_flow(self.problem, self.config, hooks=self)
         self._solve_model = None
         return result
 
@@ -385,96 +313,37 @@ class WcmSession:
         self.last_fallback = reason
         self.problem = build_problem(self.netlist, clock=self._clock,
                                      already_prepared=True)
-        self._base_rev = _reverse_anchors(self.problem.dedicated_anchors)
-        self._base_order = self._dedicated_order()
         self._pair_logs.clear()
         self._frozen.clear()
         self._node_sigs.clear()
         if self._structural:
-            # cached wrapped builds and the testability estimator embed
+            # cached sign-off builds and the testability estimator embed
             # the old die structure
             self._plan_cache.clear()
             self._estimator = None
         self._structural = False
-        self._moved.clear()
 
     # -- baseline refresh ----------------------------------------------
-    def _dedicated_order(self) -> List[str]:
-        return [ff.name for ff in _serpentine_order(
-            self.problem.dedicated_netlist.scan_flip_flops())]
-
     def _refresh_baseline(self) -> None:
-        """Mirror pending moves into the dedicated reference build and
-        delta-time it. When the moves change the serpentine order the
-        dedicated build is first rewired in place — restitching removes
-        and recreates the scan ports/nets exactly as a cold
-        ``insert_wrappers`` + restitch would — and the scan-affected
-        nets simply join the dirty set (see :func:`_restitch_in_place`).
-        Cones, the mux-out map and the anchors are position-independent
-        and survive; the node signatures pick up every timing shift, so
-        the scoped graph/partition path continues normally."""
-        if not self._moved:
-            return
+        """Follow the dedicated reference build to the solve's sites
+        (:meth:`SignoffBuild.follow`). A move that changes the
+        serpentine order restitches the build in place, as a cold
+        insertion + restitch would, and is counted as a restitch. Cones
+        and the mux-out map are position-independent and survive; the
+        node signatures pick up every timing shift, so the scoped
+        graph/partition path continues normally."""
         problem = self.problem
-        dedicated = problem.dedicated_netlist
-        context = problem.timing_context
-        dirty_nets = self._mirror_positions(
-            dedicated, self._moved, self._base_rev)
-        if self._dedicated_order() != self._base_order:
+        (timing, test_timing), restitched = problem.reference.follow(
+            self._solve_sites, (problem.timing, problem.test_timing),
+            edit_phase=None, restitch_phase="session.restitch",
+            sta_phase="session.baseline")
+        if restitched:
             trace.inc("session.restitch")
             self.last_fallback = "restitch"
-            with trace.span("session.restitch", kind="phase"):
-                dirty_nets |= _restitch_in_place(dedicated)
-            self._base_order = self._dedicated_order()
-        if context is None:
-            context = problem.timing_context = TimingContext(dedicated)
-            with trace.span("session.baseline", kind="phase"):
-                timing = context.analyze(
-                    self._clock, case=default_case(dedicated, test_mode=0))
-                test_timing = context.analyze(
-                    self._clock, case=default_case(dedicated, test_mode=1))
-        else:
-            with trace.span("session.baseline", kind="phase"):
-                context.invalidate_nets(sorted(dirty_nets))
-                timing = context.analyze_delta(
-                    self._clock, case=default_case(dedicated, test_mode=0),
-                    previous=problem.timing, dirty_nets=dirty_nets)
-                test_timing = context.analyze_delta(
-                    self._clock, case=default_case(dedicated, test_mode=1),
-                    previous=problem.test_timing, dirty_nets=dirty_nets)
         problem.timing = timing
         problem.test_timing = test_timing
         problem.dedicated_critical_path_ps = max(
             timing.critical_path_ps, test_timing.critical_path_ps)
-
-    def _mirror_positions(self, target: Netlist, moved,
-                          anchors_rev: Dict[str, List[str]]) -> Set[str]:
-        """Copy the bare-netlist positions of *moved* objects onto their
-        same-name twins in *target* plus the wrapper gear anchored at
-        them; return the incident nets (the dirty set for STA)."""
-        dirty: Set[str] = set()
-
-        def reposition(name: str, x: float, y: float) -> None:
-            inst = target.instances.get(name)
-            if inst is not None:
-                inst.x, inst.y = x, y
-                dirty.update(inst.connections.values())
-                return
-            port = target.ports.get(name)
-            if port is not None:
-                port.x, port.y = x, y
-                if port.net is not None:
-                    dirty.add(port.net)
-
-        for name in moved:
-            source = self.netlist.instances.get(name) \
-                or self.netlist.ports.get(name)
-            if source is None:
-                continue
-            reposition(name, source.x, source.y)
-            for anchored in anchors_rev.get(name, ()):
-                reposition(anchored, source.x, source.y)
-        return dirty
 
     # -- node signatures ------------------------------------------------
     def _node_signatures(self, model: ReuseTimingModel) -> Dict[str, tuple]:
@@ -515,8 +384,12 @@ class WcmSession:
         return sigs
 
     # -- flow hooks ------------------------------------------------------
-    def _make_estimator(self, problem: WcmProblem, config: WcmConfig
-                        ) -> Optional[OverlapTestabilityEstimator]:
+    def make_model(self, problem: WcmProblem,
+                   config: WcmConfig) -> ReuseTimingModel:
+        return self._solve_model
+
+    def make_estimator(self, problem: WcmProblem, config: WcmConfig
+                       ) -> Optional[OverlapTestabilityEstimator]:
         if not config.allow_overlap:
             return None
         # Estimates depend only on cone overlaps and the fault
@@ -527,16 +400,16 @@ class WcmSession:
             self._estimator = OverlapTestabilityEstimator(problem)
         return self._estimator
 
-    def _build_graph(self, problem: WcmProblem, kind: PortKind,
-                     available_ffs, config: WcmConfig,
-                     model: ReuseTimingModel, estimator) -> WcmGraph:
+    def build_graph(self, problem: WcmProblem, kind: PortKind,
+                    available_ffs, config: WcmConfig,
+                    model: ReuseTimingModel, estimator) -> WcmGraph:
         return build_wcm_graph(
             problem, kind, available_ffs, config, model, estimator,
             pair_log=self._pair_logs.setdefault(kind, PairLog()),
             dirty=self._solve_dirty)
 
-    def _partition(self, graph: WcmGraph,
-                   model: ReuseTimingModel) -> CliquePartition:
+    def partition(self, graph: WcmGraph,
+                  model: ReuseTimingModel) -> CliquePartition:
         sig = _graph_sig(graph)
         frozen = self._frozen.get(graph.kind)
         if frozen is not None and frozen[0] == sig:
@@ -552,7 +425,9 @@ class WcmSession:
         self._frozen[graph.kind] = (sig, _copy_partition(result))
         return result
 
-    def _signoff(self, problem: WcmProblem, plan, config: WcmConfig):
+    def signoff(self, problem: WcmProblem, plan, config: WcmConfig):
+        """A cached build of the same plan follows the solve's sites;
+        any other plan is built cold and cached (FIFO-bounded)."""
         # structural identity of the plan — cheaper than a generic
         # fingerprint() and injective on everything insertion reads
         key = (plan.die_name,
@@ -560,75 +435,27 @@ class WcmSession:
                      for g in plan.groups),
                tuple(plan.excluded_tsvs))
         entry = self._plan_cache.get(key)
-        positions = self._solve_positions
         if entry is not None:
-            moved = [name for name, pos in positions.items()
-                     if entry.positions.get(name) != pos]
-            hit = self._warm_signoff(entry, moved)
-            if hit:
-                trace.inc("session.signoff_hits")
-                entry.positions = positions
-                return (entry.wrapped, entry.report, entry.functional,
-                        entry.test)
-        # same steps (and counters) as flow.signoff_build, but keeping
-        # the TimingContext so later solves can delta-time this build
-        with trace.span("flow.insertion", kind="phase"):
-            wrapped, report = insert_wrappers(problem.netlist, plan)
-            stitch_scan_chains(wrapped, restitch=True)
-        with trace.span("flow.sta", kind="phase"):
-            context = TimingContext(wrapped)
-            functional = context.analyze(
-                self._clock, case=default_case(wrapped, test_mode=0))
-            test = context.analyze(
-                self._clock, case=default_case(wrapped, test_mode=1))
-        entry = _WrappedBuild(
-            wrapped=wrapped, report=report, context=context,
-            functional=functional, test=test, positions=positions,
-            order=[ff.name for ff in
-                   _serpentine_order(wrapped.scan_flip_flops())],
-            anchors_rev=_reverse_anchors(report.placement_anchors),
-        )
-        while len(self._plan_cache) >= self.MAX_PLAN_CACHE:
-            self._plan_cache.pop(next(iter(self._plan_cache)))
-        self._plan_cache[key] = entry
-        return wrapped, report, functional, test
+            trace.inc("session.signoff_hits")
+            build, timing = entry
+            timing, _restitched = build.follow(self._solve_sites, timing)
+        else:
+            build, timing = SignoffBuild.signoff(problem.netlist, plan,
+                                                 self._clock)
+            while len(self._plan_cache) >= self.MAX_PLAN_CACHE:
+                self._plan_cache.pop(next(iter(self._plan_cache)))
+        self._plan_cache[key] = (build, timing)
+        return (build.wrapped, build.report) + timing
 
-    def _warm_signoff(self, entry: _WrappedBuild, moved) -> bool:
-        """Delta-time a cached build after mirroring *moved*. When the
-        moves change its restitch order the entry is rewired in place
-        (matching a cold insert + restitch) and the scan-affected nets
-        join the dirty set."""
-        if not moved:
-            return True
-        with trace.span("flow.insertion", kind="phase"):
-            dirty = self._mirror_positions(entry.wrapped, moved,
-                                           entry.anchors_rev)
-            order = [ff.name for ff in
-                     _serpentine_order(entry.wrapped.scan_flip_flops())]
-            if order != entry.order:
-                dirty |= _restitch_in_place(entry.wrapped)
-                entry.order = order
-        with trace.span("flow.sta", kind="phase"):
-            entry.context.invalidate_nets(sorted(dirty))
-            entry.functional = entry.context.analyze_delta(
-                self._clock,
-                case=default_case(entry.wrapped, test_mode=0),
-                previous=entry.functional, dirty_nets=dirty)
-            entry.test = entry.context.analyze_delta(
-                self._clock,
-                case=default_case(entry.wrapped, test_mode=1),
-                previous=entry.test, dirty_nets=dirty)
-        return True
-
-    def _anchor_positions(self) -> Dict[str, Tuple[float, float]]:
+    def _sites(self) -> Dict[str, Tuple[float, float]]:
         netlist = self.netlist
-        positions = {name: (inst.x, inst.y)
-                     for name, inst in netlist.instances.items()
-                     if inst.is_scan}
+        sites = {name: (inst.x, inst.y)
+                 for name, inst in netlist.instances.items()
+                 if inst.is_scan}
         for name, port in netlist.ports.items():
             if port.is_tsv:
-                positions[name] = (port.x, port.y)
-        return positions
+                sites[name] = (port.x, port.y)
+        return sites
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class TestView:
     def input_count(self) -> int:
         return len(self.control_nets)
 
-    @property
-    def output_count(self) -> int:
-        return len(self.observe_nets)
-
 
 def build_prebond_test_view(netlist: Netlist) -> TestView:
     """Build the pre-bond test view of *netlist* (wrapped or bare)."""

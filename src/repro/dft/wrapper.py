@@ -19,7 +19,8 @@ gets its own dedicated cell).
   placed at the TSV site.
 
 After insertion the scan chains must be restitched so new cells are
-load/unload-able; the flow does this (see ``repro.core.flow``).
+load/unload-able; ``repro.core.problem.SignoffBuild`` does this for
+every build the flow times.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ class InsertionReport:
     #: violating path to the group that created it
     group_instances: List[List[str]] = field(default_factory=list)
     #: inserted instance name -> name of the pre-existing object (TSV
-    #: port or reused FF) whose site it was placed at; lets an ECO
-    #: session mirror a position edit onto the wrapped netlist instead
-    #: of re-running insertion
+    #: port or reused FF) whose site it was placed at; lets a sign-off
+    #: build follow a moved site with its gear instead of re-running
+    #: insertion
     placement_anchors: Dict[str, str] = field(default_factory=dict)
 
 

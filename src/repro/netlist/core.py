@@ -309,9 +309,6 @@ class Netlist:
     def scan_flip_flops(self) -> List[Instance]:
         return [i for i in self.instances.values() if i.is_scan]
 
-    def combinational_instances(self) -> List[Instance]:
-        return [i for i in self.instances.values() if not i.is_sequential]
-
     def ports_of_kind(self, kind: PortKind) -> List[Port]:
         return [p for p in self.ports.values() if p.kind == kind]
 

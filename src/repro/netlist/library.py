@@ -172,9 +172,6 @@ class CellType:
                 return p
         raise LibraryError(f"cell {self.name}: no pin named {name!r}")
 
-    def has_pin(self, name: str) -> bool:
-        return any(p.name == name for p in self.pins)
-
     def input_cap(self, pin_name: str) -> float:
         pin = self.pin(pin_name)
         if pin.direction is not PinDirection.INPUT:
@@ -219,14 +216,6 @@ class Library:
 
     def __contains__(self, name: str) -> bool:
         return name in self.cells
-
-    @property
-    def combinational_cells(self) -> List[CellType]:
-        return [c for c in self.cells.values() if not c.is_sequential]
-
-    @property
-    def sequential_cells(self) -> List[CellType]:
-        return [c for c in self.cells.values() if c.is_sequential]
 
 
 def _inputs(caps: Dict[str, float]) -> Tuple[CellPin, ...]:

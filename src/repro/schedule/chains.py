@@ -62,14 +62,6 @@ class DieTestModel:
             raise ConfigError(f"{self.name}: patterns must be >= 1, got "
                               f"{self.patterns}")
 
-    @property
-    def total_bits(self) -> int:
-        return sum(self.internal_chains) + self.wrapper_cells
-
-    @property
-    def element_count(self) -> int:
-        return len(self.internal_chains) + self.wrapper_cells
-
 
 def balanced_chain_lengths(ffs: int, chains: int) -> Tuple[int, ...]:
     """Internal chain lengths for *ffs* scan FFs stitched into *chains*

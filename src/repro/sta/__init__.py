@@ -12,12 +12,12 @@ post-insertion violation check behind Table III.
 
 from repro.sta.delay import WireModel
 from repro.sta.constraints import ClockConstraint, tight_period_for
-from repro.sta.timer import TimingAnalyzer, TimingResult
+from repro.sta.timer import TimingContext, TimingResult
 
 __all__ = [
     "WireModel",
     "ClockConstraint",
     "tight_period_for",
-    "TimingAnalyzer",
+    "TimingContext",
     "TimingResult",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.util.errors import TimingError
@@ -33,9 +33,6 @@ class ClockConstraint:
     @property
     def is_constrained(self) -> bool:
         return self.period_ps is not None
-
-    def with_period(self, period_ps: float) -> "ClockConstraint":
-        return replace(self, period_ps=period_ps)
 
 
 #: The paper's area-optimized scenario: no timing constraint at all.

@@ -899,42 +899,3 @@ class TimingContext:
                 trace.observe("sta.worst_slack_ps", worst)
         return result
 
-
-class TimingAnalyzer:
-    """STA engine bound to one netlist, wire model and TSV cap.
-
-    A thin veneer over :class:`TimingContext`: the context is built on
-    the first :meth:`analyze` and reused for every later call, so
-    dual-mode sign-off and constraint sweeps pay the graph preparation
-    once. Callers that mutate the netlist in place must call
-    :meth:`invalidate` (or :meth:`TimingContext.invalidate_nets` on
-    :attr:`context`) before re-analyzing.
-    """
-
-    def __init__(self, netlist: Netlist, wire_model: Optional[WireModel] = None,
-                 tsv_cap_ff: float = DEFAULT_TSV_CAP_FF) -> None:
-        self.netlist = netlist
-        self.wire = wire_model or WireModel()
-        self.tsv_cap_ff = tsv_cap_ff
-        self._context: Optional[TimingContext] = None
-
-    @property
-    def context(self) -> TimingContext:
-        if self._context is None:
-            self._context = TimingContext(self.netlist, self.wire,
-                                          self.tsv_cap_ff)
-        return self._context
-
-    def invalidate(self) -> None:
-        """Drop cached context state after netlist edits."""
-        if self._context is not None:
-            self._context.invalidate()
-
-    def compute_loads(self) -> Dict[str, float]:
-        """Per-net capacitive load: sink pin caps + star wire cap."""
-        return self.context.loads()
-
-    def analyze(self, constraint: ClockConstraint = UNCONSTRAINED,
-                case: Optional[Dict[str, int]] = None) -> TimingResult:
-        """STA under *constraint*, optionally with case analysis."""
-        return self.context.analyze(constraint, case)

@@ -428,8 +428,7 @@ def _transformed_problem(subject: Subject, transform) -> WcmProblem:
         netlist=clone,
         timing=base.timing,
         test_timing=base.test_timing,
-        tsv_mux_out=base.tsv_mux_out,
-        dedicated_netlist=base.dedicated_netlist,
+        reference=base.reference,
         dedicated_critical_path_ps=base.dedicated_critical_path_ps,
     )
 

@@ -307,7 +307,7 @@ def _mutant_wrapper_reuse_mux_swapped() -> Iterator[None]:
     with ``test_mode = 0`` the reused FF captures the XOR chain instead
     of its own D logic. Timing, plans and counts are unchanged; only
     the function of the wrapped die is wrong."""
-    from repro.core import flow, problem, session
+    from repro.core import problem
     from repro.dft import wrapper
     from repro.netlist.core import PortKind
 
@@ -326,7 +326,7 @@ def _mutant_wrapper_reuse_mux_swapped() -> Iterator[None]:
         return work, report
 
     # the modules that call it by a name bound at import time
-    holders = (wrapper, flow, problem, session)
+    holders = (wrapper, problem)
     for module in holders:
         module.insert_wrappers = swapped
     try:

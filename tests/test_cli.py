@@ -141,3 +141,41 @@ class TestSessionInterrupt:
         monkeypatch.setattr(sys, "stdin", _FakeStdin())
         assert main(["session", "b11", "0"]) == 0
         assert "session: b11_die0 loaded" in capsys.readouterr().out
+
+
+class _Reached(Exception):
+    """Raised by a stand-in harness once it has seen its arguments."""
+
+
+class TestSeedZero:
+    """``--seed 0`` is a seed like any other, not a request for the
+    default seed."""
+
+    def test_scale_passes_seed_zero(self, monkeypatch):
+        from repro.bench import scaling
+
+        seeds = []
+
+        def run_scaling(*args, seed, **kwargs):
+            seeds.append(seed)
+            raise _Reached
+
+        monkeypatch.setattr(scaling, "run_scaling", run_scaling)
+        with pytest.raises(_Reached):
+            main(["scale", "--families", "grid", "--gates", "1e3:1e3",
+                  "--seed", "0"])
+        assert seeds == [0]
+
+    def test_session_passes_seed_zero(self, monkeypatch):
+        import repro.bench
+
+        seeds = []
+
+        def generate_die(profile, seed):
+            seeds.append(seed)
+            raise _Reached
+
+        monkeypatch.setattr(repro.bench, "generate_die", generate_die)
+        with pytest.raises(_Reached):
+            main(["session", "b11", "0", "--seed", "0"])
+        assert seeds == [0]

@@ -10,7 +10,7 @@ from repro.core.flow import run_wcm_flow
 from repro.core.problem import build_problem, tight_clock_for
 from repro.dft.testview import build_prebond_test_view
 from repro.netlist.validate import validate_netlist
-from repro.sta.timer import TimingAnalyzer, default_case
+from repro.sta.timer import TimingContext, default_case
 
 
 class TestFullFlowOnFreshDie:
@@ -81,19 +81,19 @@ class TestDualModeSignoff:
                                                            small_problem):
         clock = tight_clock_for(small_problem)
         wrapped = small_problem.dedicated_netlist
-        analyzer = TimingAnalyzer(wrapped)
+        context = TimingContext(wrapped)
         for mode in (0, 1):
-            result = analyzer.analyze(clock,
-                                      case=default_case(wrapped, mode))
+            result = context.analyze(clock,
+                                     case=default_case(wrapped, mode))
             assert not result.has_violation, f"mode {mode} violates"
 
     def test_functional_mode_excludes_test_paths(self, small_problem):
         clock = tight_clock_for(small_problem)
         wrapped = small_problem.dedicated_netlist
-        analyzer = TimingAnalyzer(wrapped)
-        functional = analyzer.analyze(clock,
-                                      case=default_case(wrapped, 0))
-        test = analyzer.analyze(clock, case=default_case(wrapped, 1))
+        context = TimingContext(wrapped)
+        functional = context.analyze(clock,
+                                     case=default_case(wrapped, 0))
+        test = context.analyze(clock, case=default_case(wrapped, 1))
         assert test.critical_path_ps >= functional.critical_path_ps
 
 

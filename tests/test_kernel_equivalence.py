@@ -4,7 +4,7 @@ Three kernels were specialized for speed (DESIGN.md §6): the op-tape
 block simulator, the reusable STA context, and the sharing-graph
 sweep with its pair-log replay. Each must be *byte-identical* to a
 straightforward reference — the truth-table simulation and O(n^2)
-graph oracles of :mod:`repro.verify.oracles`, a fresh STA analyzer, a
+graph oracles of :mod:`repro.verify.oracles`, a fresh STA context, a
 build without a log — and these tests pin that down on random circuits
 and on a real die.
 """
@@ -40,7 +40,7 @@ from repro.netlist.core import PortKind
 from repro.place.placer import place_die
 from repro.runtime import trace
 from repro.sta.constraints import ClockConstraint
-from repro.sta.timer import TimingAnalyzer, TimingContext, default_case
+from repro.sta.timer import TimingContext, default_case
 from repro.util.rng import DeterministicRng
 from repro.verify.instances import InstanceSpec
 from repro.verify.oracles import oracle_build_graph, oracle_simulate
@@ -133,7 +133,7 @@ def test_event_propagation_matches_full_resimulation(seed):
 
 
 # ---------------------------------------------------------------------------
-# Reusable STA context vs a fresh analyzer per call
+# Reusable STA context vs a fresh context per call
 # ---------------------------------------------------------------------------
 def _results_equal(a, b):
     assert a.arrival_ps == b.arrival_ps
@@ -152,7 +152,7 @@ def test_context_reuse_matches_fresh_analyzer(medium_die):
     for test_mode in (0, 1, 0, 1):  # repeated calls over one context
         case = default_case(medium_die, test_mode=test_mode)
         reused = context.analyze(_CLOCK, case=case)
-        fresh = TimingAnalyzer(medium_die).analyze(_CLOCK, case=case)
+        fresh = TimingContext(medium_die).analyze(_CLOCK, case=case)
         _results_equal(reused, fresh)
 
 
@@ -173,7 +173,7 @@ def test_context_invalidate_nets_tracks_in_place_moves():
     context.invalidate_nets(set(inst.connections.values()))
 
     reused = context.analyze(_CLOCK)
-    fresh = TimingAnalyzer(die).analyze(_CLOCK)
+    fresh = TimingContext(die).analyze(_CLOCK)
     _results_equal(reused, fresh)
 
 

@@ -95,10 +95,10 @@ def test_atpg_replay_invariant(seed):
 def test_sta_arrival_monotone_under_period_change(seed):
     """Arrivals are constraint-independent; only slacks change."""
     from repro.sta.constraints import ClockConstraint
-    from repro.sta.timer import TimingAnalyzer
+    from repro.sta.timer import TimingContext
 
     netlist = random_circuit(seed, 25, 4)
-    timer = TimingAnalyzer(netlist)
+    timer = TimingContext(netlist)
     loose = timer.analyze(ClockConstraint(period_ps=10000.0))
     tight = timer.analyze(ClockConstraint(period_ps=100.0))
     assert loose.arrival_ps == tight.arrival_ps

@@ -8,7 +8,7 @@ from repro.netlist.builder import NetlistBuilder
 from repro.netlist.core import PortKind
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED, tight_period_for
 from repro.sta.delay import LOAD_ONLY_WIRE_MODEL, WireModel
-from repro.sta.timer import TimingAnalyzer, default_case
+from repro.sta.timer import TimingContext, default_case
 from repro.util.errors import TimingError
 
 
@@ -45,37 +45,37 @@ class TestConstraints:
 
 class TestTimer:
     def test_unconstrained_slack_is_infinite(self, tiny_netlist):
-        result = TimingAnalyzer(tiny_netlist).analyze()
+        result = TimingContext(tiny_netlist).analyze()
         assert math.isinf(result.worst_slack_ps)
         assert not result.has_violation
         assert result.critical_path_ps > 0
 
     def test_arrival_monotone_along_path(self, tiny_netlist):
-        result = TimingAnalyzer(tiny_netlist).analyze()
+        result = TimingContext(tiny_netlist).analyze()
         n1 = tiny_netlist.instance("g_nand").output_net()
         n2 = tiny_netlist.instance("g_xor").output_net()
         assert result.arrival_ps[n2] > result.arrival_ps[n1]
 
     def test_violation_when_period_too_short(self, tiny_netlist):
-        result = TimingAnalyzer(tiny_netlist).analyze(
+        result = TimingContext(tiny_netlist).analyze(
             ClockConstraint(period_ps=30.0))
         assert result.has_violation
         assert result.worst_slack_ps < 0
 
     def test_no_violation_with_generous_period(self, tiny_netlist):
-        base = TimingAnalyzer(tiny_netlist).analyze()
-        result = TimingAnalyzer(tiny_netlist).analyze(
+        base = TimingContext(tiny_netlist).analyze()
+        result = TimingContext(tiny_netlist).analyze(
             ClockConstraint(period_ps=base.critical_path_ps * 2))
         assert not result.has_violation
 
     def test_wire_model_increases_critical_path(self, medium_die):
-        with_wire = TimingAnalyzer(medium_die).analyze()
-        without = TimingAnalyzer(medium_die,
+        with_wire = TimingContext(medium_die).analyze()
+        without = TimingContext(medium_die,
                                  wire_model=LOAD_ONLY_WIRE_MODEL).analyze()
         assert with_wire.critical_path_ps > without.critical_path_ps
 
     def test_outbound_port_slack_query(self, tiny_netlist):
-        result = TimingAnalyzer(tiny_netlist).analyze(
+        result = TimingContext(tiny_netlist).analyze(
             ClockConstraint(period_ps=2000.0))
         slack = result.slack_of_port("tsv_out0__port")
         assert slack > 0
@@ -83,7 +83,7 @@ class TestTimer:
             result.slack_of_port("nonexistent")
 
     def test_required_ge_arrival_when_met(self, small_die):
-        timer = TimingAnalyzer(small_die)
+        timer = TimingContext(small_die)
         base = timer.analyze()
         result = timer.analyze(
             ClockConstraint(period_ps=base.critical_path_ps * 1.2))
@@ -93,16 +93,16 @@ class TestTimer:
             assert required >= arrival - 1e-6
 
     def test_loads_include_wire_cap(self, medium_die):
-        loads_wire = TimingAnalyzer(medium_die).compute_loads()
-        loads_pin = TimingAnalyzer(
-            medium_die, wire_model=LOAD_ONLY_WIRE_MODEL).compute_loads()
+        loads_wire = TimingContext(medium_die).loads()
+        loads_pin = TimingContext(
+            medium_die, wire_model=LOAD_ONLY_WIRE_MODEL).loads()
         some_net = medium_die.inbound_tsvs()[0].net
         assert loads_wire[some_net] >= loads_pin[some_net]
 
     def test_scan_si_pins_do_not_load_timing(self, small_die):
         """Chain order must not perturb sign-off timing (shift clock
         domain; dedicated routing)."""
-        loads = TimingAnalyzer(small_die).compute_loads()
+        loads = TimingContext(small_die).loads()
         ffs = small_die.scan_flip_flops()
         # find a Q net that feeds another FF's SI
         for ff in ffs:
@@ -134,7 +134,7 @@ class TestCaseAnalysis:
 
     def test_mux_select_excludes_deselected_arrival(self):
         netlist = self._mux_netlist()
-        timer = TimingAnalyzer(netlist)
+        timer = TimingContext(netlist)
         functional = timer.analyze(case=default_case(netlist, test_mode=0))
         test = timer.analyze(case=default_case(netlist, test_mode=1))
         # B path is 6 buffers deep; excluded when test_mode=0
@@ -147,7 +147,7 @@ class TestCaseAnalysis:
         gated = builder.add_gate("AND2_X1", [a, tm])
         builder.add_output("po", gated)
         netlist = builder.finish()
-        result = TimingAnalyzer(netlist).analyze(
+        result = TimingContext(netlist).analyze(
             case=default_case(netlist, test_mode=0))
         # AND with constant-0 input: output constant, endpoint untimed
         assert result.endpoints == [] or all(

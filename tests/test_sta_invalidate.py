@@ -87,7 +87,7 @@ class TestInvalidateNets:
         """A restitch in place moves the scan-out port onto the new
         chain tail's Q net: invalidating the scan-port nets re-indexes
         the port endpoints, and the delta equals a fresh context."""
-        from repro.core.session import _restitch_in_place
+        from repro.core.problem import _restitch_in_place
 
         netlist = medium_die.clone()
         context = TimingContext(netlist)
