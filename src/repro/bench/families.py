@@ -2,10 +2,13 @@
 
 The ITC'99-calibrated generator (:mod:`repro.bench.generator`) produces
 one topology shape. This module adds *families*: the die is still a set
-of layered-DAG clusters, but the inter-cluster wiring follows an
-explicit topology with a closed-form edge set — a 2-D mesh, a pipeline
-chain, a token ring, a hub-and-spoke star, a balanced H-tree, or a
-mixed "soc" blend (a star of heterogeneous blocks). Any instance is
+of layered-DAG clusters, built by the generator module's layered-cluster
+engine, but the inter-cluster wiring follows an explicit topology with
+a closed-form edge set — a 2-D mesh, a pipeline chain, a token ring, a
+hub-and-spoke star, a balanced H-tree, or a mixed "soc" blend (a star
+of heterogeneous blocks). The topology is the family's part of the
+engine: its source deal, its plan-neighbour taps, its per-cluster hubs,
+its edge bridging and its hard TSV fan-out caps. Any instance is
 reproducible from ``(family, spec, seed)``.
 
 Structural contract (pinned by ``tests/test_families.py``):
@@ -36,11 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bench.generator import _GATE_MIX, _ClusterPool
-from repro.netlist.builder import NetlistBuilder
-from repro.netlist.core import Netlist, PortKind
+from repro.bench.generator import _GATE_MIX, _ClusterGenerator, check_knobs
+from repro.netlist.core import Netlist
 from repro.netlist.library import Library
 from repro.util.errors import ReproError
 from repro.util.rng import DeterministicRng
@@ -121,9 +123,7 @@ class FamilySpec:
         if self.cell_mix not in CELL_MIXES:
             raise ReproError(f"unknown cell mix {self.cell_mix!r} "
                              f"(have {sorted(CELL_MIXES)})")
-        if self.max_fanout < 2 or self.hub_fanout < self.max_fanout:
-            raise ReproError("need max_fanout >= 2 and hub_fanout >= "
-                             "max_fanout")
+        check_knobs(self)
 
     @classmethod
     def from_density(cls, gates: int, ffs_per_kgate: float = 60.0,
@@ -281,8 +281,12 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     return fingerprint(netlist_payload(netlist))
 
 
-class _FamilyGenerator:
-    """Layered-cluster generation over an explicit topology plan."""
+class _FamilyGenerator(_ClusterGenerator):
+    """Layered-cluster generation over an explicit topology plan: a
+    cluster taps only its plan neighbours, bridges every incident edge,
+    keeps its hubs to itself, and never pushes a TSV past its cap."""
+
+    hard_tsv_caps = True
 
     def __init__(self, family: str, spec: FamilySpec, seed: int,
                  library: Optional[Library], name: Optional[str]) -> None:
@@ -297,52 +301,12 @@ class _FamilyGenerator:
         self.family = family
         self.spec = spec
         self.seed = seed
-        self.rng = DeterministicRng(seed).child("family", family)
-        self.builder = NetlistBuilder(
-            name or f"{family}_g{spec.gates}_s{seed}", library)
         n = self.plan.clusters
-        self.neighbors = self.plan.neighbors()
-        self.pools = [_ClusterPool(spec.max_depth) for _ in range(n)]
-        self.use_counts: Dict[str, int] = {}
-        self.unused_set: set = set()
-        self.hub_set: set = set()
-        self.tsv_set: set = set()
-        self.hubs_by_cluster: List[List[str]] = [[] for _ in range(n)]
-        self.cluster_of_net: Dict[str, int] = {}
-        self.cluster_of_instance: Dict[str, int] = {}
-        self.remaining_slots = 0
-        self.clock_net = ""
-        self.ff_q_nets: List[str] = []
-        #: unbridged incident topology edges, per cluster
-        self.pending_edges: List[List[Tuple[int, int]]] = [
-            sorted((min(c, o), max(c, o)) for o in self.neighbors[c])
-            for c in range(n)]
-        self.bridged: Set[Tuple[int, int]] = set()
-
-    # ------------------------------------------------------------------
-    def run(self) -> FamilyInstance:
-        self._deal_sources()
-        self._create_sources()
-        self._create_clouds()
-        self._create_sinks()
-        levels = {}
-        for pool in self.pools:
-            levels.update(pool.levels)
-        return FamilyInstance(
-            family=self.family, spec=self.spec, seed=self.seed,
-            netlist=self.builder.finish(), plan=self.plan,
-            cluster_of_net=self.cluster_of_net,
-            cluster_of_instance=self.cluster_of_instance,
-            levels=levels)
-
-    # ------------------------------------------------------------------
-    def _deal_sources(self) -> None:
-        spec, n = self.spec, self.plan.clusters
-
-        def split(total: int) -> List[int]:
-            base, extra = divmod(total, n)
-            return [base + (1 if i < extra else 0) for i in range(n)]
-
+        super().__init__(
+            spec, name or f"{family}_g{spec.gates}_s{seed}", library,
+            DeterministicRng(seed).child("family", family),
+            CELL_MIXES[spec.cell_mix], n,
+            (spec.gates, spec.ffs, spec.tsv_in, spec.tsv_out))
         # Two-phase shuffled round-robin deal: PIs and FFs first (the
         # cluster count is clamped so every cluster lands at least one
         # of these non-TSV sources), TSVs separately from a seeded
@@ -350,90 +314,37 @@ class _FamilyGenerator:
         # force fallback picks past the TSV fan-out caps.
         tags = ["pi"] * spec.primary_inputs + ["ff"] * spec.ffs
         self.rng.child("source_deal").shuffle(tags)
-        per = {"pi": [0] * n, "tsvin": [0] * n, "ff": [0] * n}
-        for index, tag in enumerate(tags):
-            per[tag][index % n] += 1
+        self._deal(tags)
         offset = self.rng.child("tsv_deal").randint(0, n - 1) if n > 1 \
             else 0
-        for index in range(spec.tsv_in):
-            per["tsvin"][(offset + index) % n] += 1
-        self.pis_per_cluster = per["pi"]
-        self.tsvin_per_cluster = per["tsvin"]
-        self.ffs_per_cluster = per["ff"]
-        self.gates_per_cluster = split(spec.gates)
-        self.tsvout_per_cluster = split(spec.tsv_out)
-        self.pos_per_cluster = split(spec.primary_outputs)
+        self._deal(["tsvin"] * spec.tsv_in, offset)
+        self.neighbors = self.plan.neighbors()
+        self.hubs_by_cluster = [[] for _ in range(n)]
+        self.p_cross = [spec.cross_probability(gates)
+                        for gates in self.gates_per_cluster]
+        #: unbridged incident topology edges, per cluster
+        self.pending_edges: List[List[Tuple[int, int]]] = [
+            sorted((min(c, o), max(c, o)) for o in self.neighbors[c])
+            for c in range(n)]
+        self.bridged: Set[Tuple[int, int]] = set()
 
-    def _register(self, cluster: int, net: str, level: int,
-                  hub: bool = False, is_tsv: bool = False) -> None:
-        self.pools[cluster].add(net, level)
-        self.cluster_of_net[net] = cluster
-        self.use_counts[net] = 0
-        self.unused_set.add(net)
-        if hub:
-            self.hub_set.add(net)
-            self.hubs_by_cluster[cluster].append(net)
-        if is_tsv:
-            self.tsv_set.add(net)
-
-    def _mark_used(self, net: str) -> None:
-        self.use_counts[net] += 1
-        self.unused_set.discard(net)
-
-    def _fanout_ok(self, net: str) -> bool:
-        spec = self.spec
-        if net in self.hub_set:
-            cap = spec.hub_fanout
-        elif net in self.tsv_set:
-            cap = spec.tsv_max_fanout
-        else:
-            cap = spec.max_fanout
-        return self.use_counts[net] < cap
-
-    # ------------------------------------------------------------------
-    def _create_sources(self) -> None:
-        spec, rng = self.spec, self.rng
-        self.clock_net = self.builder.add_clock("clk")
-        hub_count = (max(1, round(spec.tsv_in * spec.hub_tsv_fraction))
-                     if spec.tsv_in else 0)
-        hub_picks = set(rng.sample(range(spec.tsv_in), hub_count)) \
-            if spec.tsv_in else set()
-
-        pi_index = tsv_index = ff_index = 0
-        for cluster in range(self.plan.clusters):
-            for _ in range(self.pis_per_cluster[cluster]):
-                net = self.builder.add_input(f"pi{pi_index}")
-                pi_index += 1
-                self._register(cluster, net, level=0)
-            for _ in range(self.tsvin_per_cluster[cluster]):
-                net = self.builder.add_input(f"tsvin{tsv_index}",
-                                             kind=PortKind.TSV_INBOUND)
-                self._register(cluster, net, level=0,
-                               hub=(tsv_index in hub_picks), is_tsv=True)
-                tsv_index += 1
-            for _ in range(self.ffs_per_cluster[cluster]):
-                net_name = f"ffq{ff_index}"
-                ff_index += 1
-                self.builder.netlist.add_net(net_name)
-                self.ff_q_nets.append(net_name)
-                self._register(cluster, net_name, level=0)
-
-    # ------------------------------------------------------------------
-    def _level_plan(self, cluster: int) -> List[int]:
-        spec = self.spec
-        budget = self.gates_per_cluster[cluster]
-        if budget <= 0:
-            return []
-        low = max(2, spec.max_depth // 2)
-        depth = self.rng.child("depth", cluster).randint(low,
-                                                         spec.max_depth)
-        depth = min(depth, max(1, budget))
-        base, extra = divmod(budget, depth)
-        return [base + (1 if i < extra else 0) for i in range(depth)]
-
-    def _non_tsv(self, bucket: Sequence[str]) -> List[str]:
-        picks = [c for c in bucket if c not in self.tsv_set]
-        return picks or list(bucket)
+    def run(self) -> FamilyInstance:
+        netlist = super().run()
+        # Each gate output and FF-Q net is driven by a cell of the
+        # net's cluster (FF i sinks in the cluster its ffq<i> was dealt).
+        cluster_of_instance = {}
+        for net, cluster in self.cluster_of_net.items():
+            driver = netlist.nets[net].driver
+            if not driver.is_port:
+                cluster_of_instance[driver.owner_name] = cluster
+        levels: Dict[str, int] = {}
+        for pool in self.pools:
+            levels.update(pool.levels)
+        return FamilyInstance(
+            family=self.family, spec=self.spec, seed=self.seed,
+            netlist=netlist, plan=self.plan,
+            cluster_of_net=self.cluster_of_net,
+            cluster_of_instance=cluster_of_instance, levels=levels)
 
     def _pick_bridge(self, cluster: int) -> Optional[str]:
         """A foreign level-0 source across the next unbridged incident
@@ -456,206 +367,31 @@ class _FamilyGenerator:
             else:
                 # Over-cap: fall back to any non-TSV foreign source
                 # (every cluster owns one by construction).
-                candidate = self.rng.choice(self._non_tsv(bucket))
+                candidate = self.rng.choice(self._within_caps(bucket))
             pending.pop(0)
             self.bridged.add(edge)
             return candidate
         return None
 
-    def _pick_level_setter(self, cluster: int, level: int) -> str:
-        pool, rng = self.pools[cluster], self.rng
-        queue = pool.unused_by_level[level - 1]
-        while queue and queue[-1] not in self.unused_set:
-            queue.pop()
-        if queue and rng.random() < 0.8:
-            return queue[-1]
-        candidates = pool.by_level[level - 1]
-        if not candidates:
-            for l in range(level - 1, -1, -1):
-                if pool.by_level[l]:
-                    candidates = pool.by_level[l]
-                    break
-        for _attempt in range(8):
-            candidate = rng.choice(candidates)
-            if self._fanout_ok(candidate):
-                return candidate
-        return rng.choice(self._non_tsv(candidates))
-
-    def _pick_filler(self, cluster: int, level: int,
-                     exclude: List[str], p_cross: float) -> str:
-        spec, rng = self.spec, self.rng
-        pool = self.pools[cluster]
-        pressure = len(self.unused_set) / max(1, self.remaining_slots)
-        p_unused = max(spec.p_unused, min(0.98, 1.4 * pressure))
-        excluded = set(exclude)
-        neighbors = self.neighbors[cluster]
-        hubs = self.hubs_by_cluster[cluster]
-
-        for _attempt in range(8):
-            draw = rng.random()
-            candidate: Optional[str] = None
-            if draw < p_unused:
-                candidate = pool.pop_unused_below(level, self.unused_set)
-            elif hubs and draw < p_unused + spec.p_hub:
-                candidate = rng.choice(hubs)
-            if candidate is None:
-                # Cross-cluster taps follow topology edges only and
-                # read foreign level-0 sources only: modular cones, and
-                # the property suite can assert "no wire crosses a
-                # non-edge".
-                if neighbors and rng.random() < p_cross:
-                    other = rng.choice(neighbors)
-                    bucket = self.pools[other].by_level[0]
-                else:
-                    bucket = pool.by_level[rng.randint(0, level - 1)]
-                if not bucket:
-                    continue
-                candidate = rng.choice(bucket)
-            if candidate in excluded:
-                continue
-            owner = self.pools[self.cluster_of_net[candidate]]
-            if owner.levels[candidate] >= level:
-                continue
-            if candidate in self.tsv_set and not self._fanout_ok(candidate):
-                continue  # TSV caps are hard, never relaxed by retries
-            if not self._fanout_ok(candidate) and _attempt < 6:
-                continue
-            return candidate
-
-        # Fallback: local non-TSV signals below the level, so the TSV
-        # fan-out caps stay hard bounds.
-        for _attempt in range(32):
-            bucket = pool.by_level[rng.randint(0, level - 1)]
-            if not bucket:
-                continue
-            candidate = rng.choice(bucket)
-            if candidate not in excluded and candidate not in self.tsv_set:
-                return candidate
-        bucket0 = [c for c in pool.by_level[0] if c not in self.tsv_set]
-        if bucket0:
-            return rng.choice(bucket0)
-        return exclude[0] if exclude else pool.by_level[0][0]
-
-    def _create_clouds(self) -> None:
-        spec, rng = self.spec, self.rng
-        mix = CELL_MIXES[spec.cell_mix]
-        cells = [g[0] for g in mix]
-        weights = [g[1] for g in mix]
-        arity = {g[0]: g[2] for g in mix}
-
-        gate_cells = rng.choices(cells, weights, k=spec.gates)
-        self.remaining_slots = sum(arity[c] for c in gate_cells)
-        hub_budget = max(1, round(spec.gates * spec.hub_fraction))
-        gate_index = 0
-        for cluster in range(self.plan.clusters):
-            p_cross = spec.cross_probability(
-                self.gates_per_cluster[cluster])
-            for level_minus_1, count in enumerate(self._level_plan(cluster)):
-                level = level_minus_1 + 1
-                for _ in range(count):
-                    cell_name = gate_cells[gate_index]
-                    gate_index += 1
-                    n_inputs = arity[cell_name]
-                    self.remaining_slots -= n_inputs
-                    chosen: List[str] = []
-                    # Bridge requirement first: level-1 gates may spend
-                    # their setter slot on a foreign level-0 source
-                    # (level 0 < 1 keeps the bound), so even one-input
-                    # cells can realize a topology edge.
-                    if level == 1:
-                        bridge = self._pick_bridge(cluster)
-                        if bridge is not None:
-                            chosen.append(bridge)
-                    if not chosen:
-                        chosen.append(self._pick_level_setter(cluster,
-                                                              level))
-                    if len(chosen) < n_inputs:
-                        bridge = self._pick_bridge(cluster)
-                        if bridge is not None and bridge not in chosen:
-                            chosen.append(bridge)
-                    while len(chosen) < n_inputs:
-                        chosen.append(self._pick_filler(cluster, level,
-                                                        chosen, p_cross))
-                    for net in chosen:
-                        self._mark_used(net)
-                    out_net = self.builder.add_gate(cell_name, chosen)
-                    promote = hub_budget > 0 and rng.random() < 0.02
-                    if promote:
-                        hub_budget -= 1
-                    self._register(cluster, out_net, level=level,
-                                   hub=promote)
-                    self.cluster_of_instance[
-                        self.builder.netlist.nets[out_net]
-                        .driver.owner_name] = cluster
-
-    # ------------------------------------------------------------------
-    def _late_signals(self, cluster: int, count: int, taken: set
-                      ) -> List[str]:
-        """Sink sources from *cluster*, deepest-unused first."""
-        pool, rng = self.pools[cluster], self.rng
+    def _pick_inputs(self, cluster: int, level: int, cell_name: str,
+                     n_inputs: int) -> List[str]:
         chosen: List[str] = []
-        ff_q_set = set(self.ff_q_nets)
-
-        for level in range(pool.max_depth, 0, -1):
-            if len(chosen) >= count:
-                break
-            for name in pool.unused_by_level[level]:
-                if len(chosen) >= count:
-                    break
-                if name not in self.unused_set:
-                    continue
-                if name in taken or name in ff_q_set:
-                    continue
-                chosen.append(name)
-                taken.add(name)
-
-        attempts = 0
-        while len(chosen) < count and attempts < 50 * count + 100:
-            attempts += 1
-            level = pool.max_depth - int((rng.random() ** 1.5)
-                                         * pool.max_depth)
-            bucket = pool.by_level[min(level, pool.max_depth)]
-            if not bucket:
-                continue
-            candidate = rng.choice(bucket)
-            if candidate in taken or candidate in ff_q_set \
-                    or candidate in self.tsv_set:
-                continue
-            chosen.append(candidate)
-            taken.add(candidate)
-
-        gate_signals = [n for l in range(1, pool.max_depth + 1)
-                        for n in pool.by_level[l]]
-        repeats = gate_signals or [n for n in pool.by_level[0]
-                                   if n not in self.tsv_set] \
-            or pool.by_level[0]
-        while len(chosen) < count:
-            chosen.append(rng.choice(repeats))
+        # Bridge requirement first: level-1 gates may spend their setter
+        # slot on a foreign level-0 source (level 0 < 1 keeps the
+        # bound), so even one-input cells can realize a topology edge.
+        if level == 1:
+            bridge = self._pick_bridge(cluster)
+            if bridge is not None:
+                chosen.append(bridge)
+        if not chosen:
+            chosen.append(self._pick_level_setter(cluster, level))
+        if len(chosen) < n_inputs:
+            bridge = self._pick_bridge(cluster)
+            if bridge is not None and bridge not in chosen:
+                chosen.append(bridge)
+        while len(chosen) < n_inputs:
+            chosen.append(self._pick_filler(cluster, level, chosen))
         return chosen
-
-    def _create_sinks(self) -> None:
-        taken: set = set()
-        out_index = ff_index = po_index = 0
-        for cluster in range(self.plan.clusters):
-            for src in self._late_signals(
-                    cluster, self.tsvout_per_cluster[cluster], taken):
-                self._mark_used(src)
-                self.builder.add_output(f"tsvout{out_index}", src,
-                                        kind=PortKind.TSV_OUTBOUND)
-                out_index += 1
-            for src in self._late_signals(
-                    cluster, self.ffs_per_cluster[cluster], taken):
-                self._mark_used(src)
-                inst = self.builder.add_flip_flop(
-                    src, self.clock_net, scan=True, name=f"ff{ff_index}",
-                    q_net=self.ff_q_nets[ff_index])
-                self.cluster_of_instance[inst.name] = cluster
-                ff_index += 1
-            for src in self._late_signals(
-                    cluster, self.pos_per_cluster[cluster], taken):
-                self._mark_used(src)
-                self.builder.add_output(f"po{po_index}", src)
-                po_index += 1
 
 
 def generate_family(family: str, spec: Optional[FamilySpec] = None,

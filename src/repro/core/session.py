@@ -430,8 +430,9 @@ class WcmSession(FlowHooks):
         any other plan is built cold and cached (FIFO-bounded)."""
         # structural identity of the plan — cheaper than a generic
         # fingerprint() and injective on everything insertion reads
+        # (the kind's value: an Enum hashes in Python, a str in C)
         key = (plan.die_name,
-               tuple((g.kind, tuple(g.tsvs), g.reused_ff)
+               tuple((g.kind.value, tuple(g.tsvs), g.reused_ff)
                      for g in plan.groups),
                tuple(plan.excluded_tsvs))
         entry = self._plan_cache.get(key)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
+from typing import Iterable, List, TypeVar
 
 T = TypeVar("T")
 
@@ -30,55 +30,36 @@ def derive_seed(root: int, *labels: object) -> int:
     return int.from_bytes(hasher.digest()[:8], "big")
 
 
-class DeterministicRng:
-    """A thin wrapper over :class:`random.Random` with seed derivation.
+class DeterministicRng(random.Random):
+    """A :class:`random.Random` with seed derivation.
 
-    The wrapper exists so call sites never touch the global ``random``
-    module and so child generators can be split off by label::
+    Call sites never touch the global ``random`` module, and child
+    generators can be split off by label::
 
         rng = DeterministicRng(1234)
         placement_rng = rng.child("placement", die_index)
+
+    Every draw method is :class:`random.Random`'s own (``random()`` and
+    ``getrandbits()`` must stay un-overridden, or
+    ``Random.__init_subclass__`` would switch ``_randbelow`` and move
+    every draw).
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-        self._random = random.Random(self.seed)
+        #: the root seed (``Random.seed`` is the re-seeding method)
+        self.root_seed = int(seed)
+        super().__init__(self.root_seed)
+
+    def __reduce__(self):
+        # Random's own reduce would re-create the object without a seed
+        return DeterministicRng, (self.root_seed,), self.getstate()
 
     def child(self, *labels: object) -> "DeterministicRng":
         """Return an independent generator derived from this one."""
-        return DeterministicRng(derive_seed(self.seed, *labels))
-
-    # -- passthroughs ---------------------------------------------------
-    def random(self) -> float:
-        return self._random.random()
-
-    def randint(self, low: int, high: int) -> int:
-        """Inclusive-range integer, mirroring random.randint."""
-        return self._random.randint(low, high)
-
-    def uniform(self, low: float, high: float) -> float:
-        return self._random.uniform(low, high)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
-    def choice(self, items: Sequence[T]) -> T:
-        return self._random.choice(items)
-
-    def choices(self, items: Sequence[T], weights: Sequence[float], k: int) -> List[T]:
-        return self._random.choices(items, weights=weights, k=k)
-
-    def sample(self, items: Sequence[T], k: int) -> List[T]:
-        return self._random.sample(items, k)
-
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
-    def getrandbits(self, bits: int) -> int:
-        return self._random.getrandbits(bits)
+        return DeterministicRng(derive_seed(self.root_seed, *labels))
 
     def shuffled(self, items: Iterable[T]) -> List[T]:
         """Return a shuffled copy, leaving the input untouched."""
         copy = list(items)
-        self._random.shuffle(copy)
+        self.shuffle(copy)
         return copy

@@ -80,27 +80,20 @@ class InstanceSpec:
 
     def build_netlist(self) -> Netlist:
         """Generated, placed, scan-stitched die netlist."""
+        overrides = {}
+        if self.fanout_cap is not None:
+            overrides = {"max_fanout": self.fanout_cap,
+                         "hub_fanout": 2 * self.fanout_cap,
+                         "tsv_max_fanout": min(4, self.fanout_cap)}
         if self.family == "itc99":
-            config = DieGeneratorConfig()
-            if self.fanout_cap is not None:
-                config = dataclasses.replace(
-                    config, max_fanout=self.fanout_cap,
-                    max_hub_fanout=2 * self.fanout_cap,
-                    tsv_max_fanout=min(config.tsv_max_fanout,
-                                       self.fanout_cap))
             netlist = generate_die(self.profile(), seed=self.seed,
-                                   config=config)
+                                   config=DieGeneratorConfig(**overrides))
         else:
             from repro.bench.families import (FAMILIES, FamilySpec,
                                               generate_family_die)
             if self.family not in FAMILIES:
                 raise ReproError(f"unknown family {self.family!r} "
                                  f"(have ('itc99',) + {FAMILIES})")
-            overrides = {}
-            if self.fanout_cap is not None:
-                overrides = {"max_fanout": self.fanout_cap,
-                             "hub_fanout": 2 * self.fanout_cap,
-                             "tsv_max_fanout": min(4, self.fanout_cap)}
             fspec = FamilySpec(gates=self.gates, ffs=self.ffs,
                                tsv_in=self.tsv_in, tsv_out=self.tsv_out,
                                **overrides)

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.families import netlist_fingerprint
+from repro.bench.families import (
+    FamilySpec,
+    generate_family_die,
+    netlist_fingerprint,
+)
 from repro.bench.generator import DieGeneratorConfig, generate_die
 from repro.bench.itc99 import (
     CIRCUITS,
@@ -14,7 +18,7 @@ from repro.bench.itc99 import (
 )
 from repro.netlist.topology import combinational_levels, topological_instances
 from repro.netlist.validate import validate_netlist
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, ReproError
 
 
 class TestProfiles:
@@ -95,7 +99,7 @@ class TestGeneratedStructure:
         netlist = generate_die(die_profile("b12", 1), seed=5, config=config)
         for port in netlist.inbound_tsvs():
             fanout = len(netlist.net(port.net).sinks)
-            assert fanout <= config.max_hub_fanout
+            assert fanout <= config.hub_fanout
 
     def test_dangling_nets_rare(self):
         netlist = generate_die(die_profile("b12", 1), seed=5)
@@ -115,3 +119,35 @@ class TestGeneratedStructure:
         stats = generate_die(profile, seed=seed).stats()
         assert stats["gates"] == profile.gates
         assert stats["scan_flip_flops"] == profile.scan_flip_flops
+
+
+#: knob values no netlist can be built from, under the names both spec
+#: types share
+_BAD_KNOBS = {
+    "depth-1": {"max_depth": 1},
+    "cluster-0": {"cluster_gates": 0},
+    "fanout-0": {"max_fanout": 0},
+    "hub-below-fanout": {"max_fanout": 8, "hub_fanout": 4},
+    "tsv-fanout-0": {"tsv_max_fanout": 0},
+    "negative-pis": {"primary_inputs": -1},
+    "p-cross-above-1": {"p_cross": 1.5},
+    "hub-fraction-negative": {"hub_fraction": -0.1},
+}
+
+
+class TestKnobValidation:
+    @pytest.mark.parametrize("spec_type", [DieGeneratorConfig, FamilySpec])
+    @pytest.mark.parametrize("knobs", list(_BAD_KNOBS.values()),
+                             ids=list(_BAD_KNOBS))
+    def test_bad_knobs_rejected_at_construction(self, spec_type, knobs):
+        with pytest.raises(ReproError):
+            spec_type(**knobs)
+
+    def test_smallest_knobs_still_generate(self):
+        netlist = generate_die(
+            die_profile("b11", 0), seed=3,
+            config=DieGeneratorConfig(max_depth=2, cluster_gates=1))
+        assert max(combinational_levels(netlist).values()) <= 2
+        spec = FamilySpec(gates=40, ffs=3, max_depth=2, cluster_gates=1)
+        netlist = generate_family_die("grid", spec, seed=3)
+        assert netlist.stats()["gates"] == 40

@@ -1,5 +1,7 @@
 """Tests for repro.util: RNG determinism, tables, errors."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,18 +35,18 @@ class TestDeterministicRng:
         root = DeterministicRng(7)
         child_a = root.child("a")
         child_b = root.child("b")
-        assert child_a.seed != child_b.seed
+        assert child_a.root_seed != child_b.root_seed
         assert child_a.random() != child_b.random()
 
     def test_child_does_not_depend_on_parent_consumption(self):
         root1 = DeterministicRng(7)
         root1.random()  # consume some entropy
         root2 = DeterministicRng(7)
-        assert root1.child("x").seed == root2.child("x").seed
+        assert root1.child("x").root_seed == root2.child("x").root_seed
 
     def test_child_path_order_matters(self):
         root = DeterministicRng(7)
-        assert root.child("a", "b").seed != root.child("b", "a").seed
+        assert root.child("a", "b").root_seed != root.child("b", "a").root_seed
 
     def test_shuffled_leaves_input_untouched(self):
         rng = DeterministicRng(3)
@@ -52,6 +54,14 @@ class TestDeterministicRng:
         copy = rng.shuffled(items)
         assert items == [1, 2, 3, 4, 5]
         assert sorted(copy) == items
+
+    def test_pickle_keeps_stream_and_root_seed(self):
+        rng = DeterministicRng(5)
+        rng.random()
+        copy = pickle.loads(pickle.dumps(rng))
+        assert copy.root_seed == 5
+        assert [copy.random() for _ in range(4)] == \
+            [rng.random() for _ in range(4)]
 
     def test_derive_seed_stable(self):
         assert derive_seed(10, "x", 3) == derive_seed(10, "x", 3)
