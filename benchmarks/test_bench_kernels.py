@@ -11,6 +11,7 @@ import pytest
 from repro.atpg.engine import AtpgConfig, _FaultDispatcher, run_stuck_at_atpg
 from repro.atpg.faults import build_fault_list
 from repro.atpg.sim import CompiledCircuit
+from repro.bench.families import FamilySpec, generate_family_die
 from repro.bench.generator import generate_die
 from repro.bench.itc99 import die_profile
 from repro.core.clique import partition_cliques
@@ -23,7 +24,7 @@ from repro.dft.scan import stitch_scan_chains
 from repro.dft.testview import build_prebond_test_view
 from repro.dft.wrapper import dedicated_plan, insert_wrappers
 from repro.netlist.core import PortKind
-from repro.place.placer import place_die
+from repro.place.placer import PlacementConfig, place_die
 from repro.sta.timer import TimingContext
 from repro.util.rng import DeterministicRng
 
@@ -57,12 +58,26 @@ def test_bench_sta(benchmark, kernel_die):
     assert result.critical_path_ps > 0
 
 
-def test_bench_signoff_build(benchmark, kernel_problem):
+def _grid_problem():
+    """The e2e grid die (4,000 gates, 40 TSVs per kgate), prepared."""
+    netlist = generate_family_die(
+        "grid", FamilySpec.from_density(4000, tsvs_per_kgate=40),
+        seed=2019)
+    place_die(netlist, PlacementConfig(seed=2019))
+    stitch_scan_chains(netlist)
+    return build_problem(netlist, already_prepared=True)
+
+
+@pytest.mark.parametrize("die", ["b12_d1", "grid"])
+def test_bench_signoff_build(benchmark, kernel_problem, die):
     """One round of the sign-off repair loop on the ours/tight plan:
-    insert the plan, restitch, build a fresh timing context and run
-    both sign-off analyses (functional and test mode)."""
-    clock = tight_clock_for(kernel_problem)
-    problem = kernel_problem.retime(clock)
+    insert the plan, restitch, derive the timing context from the
+    problem's reference build and run both sign-off analyses
+    (functional and test mode). b12_d1 carries 207 TSVs per kgate, so
+    most of its wrapped die is touched; the grid die carries 40."""
+    base = kernel_problem if die == "b12_d1" else _grid_problem()
+    clock = tight_clock_for(base)
+    problem = base.retime(clock)
     config = WcmConfig.ours(Scenario.performance_optimized(clock.period_ps))
     plan = run_wcm_flow(problem, config).plan
     _wrapped, _report, functional, test = benchmark(

@@ -206,6 +206,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "label": f"{profile.name} {method_name}/tight — "
                      f"{elapsed:.2f}s wall-clock",
             "metrics": collected.metrics.to_payload(),
+            "volatile_metrics": collected.runtime.to_payload(),
             "timings": collected.bench_timings()}))
     return 0
 

@@ -244,10 +244,11 @@ def signoff_violations(functional_timing: TimingResult,
 def signoff_build(problem: WcmProblem, plan: WrapperPlan, config: WcmConfig
                   ) -> Tuple[Netlist, InsertionReport, TimingResult,
                              TimingResult]:
-    """One sign-off round built cold (:meth:`SignoffBuild.signoff`):
-    insert the plan, restitch, analyze both sign-off modes."""
+    """One sign-off round (:meth:`SignoffBuild.signoff`): insert the
+    plan, restitch, derive the timing context from the problem's
+    reference build, analyze both sign-off modes."""
     build, (functional, test) = SignoffBuild.signoff(
-        problem.netlist, plan, config.scenario.clock)
+        problem.netlist, plan, config.scenario.clock, problem.reference)
     return build.wrapped, build.report, functional, test
 
 

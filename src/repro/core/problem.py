@@ -8,11 +8,13 @@ every method, so the period must budget for that structural overhead;
 what differs between methods is only the reuse wiring.
 
 :class:`SignoffBuild` is the one place a wrapper plan becomes a timed
-die: insert, restitch, one :class:`~repro.sta.timer.TimingContext`,
-both sign-off modes. The problem's dedicated reference build, every
-sign-off round of the flow and every entry of an ECO session's plan
-cache is one; its :meth:`~SignoffBuild.follow` is the warm path that
-re-times a build after FF/TSV moves instead of building it again.
+die: insert, restitch, one :class:`~repro.sta.timer.TimingContext`
+(compiled cold for the reference build, derived from the reference's
+for every other build), both sign-off modes. The problem's dedicated
+reference build, every sign-off round of the flow and every entry of
+an ECO session's plan cache is one; its :meth:`~SignoffBuild.follow`
+is the warm path that re-times a build after FF/TSV moves instead of
+building it again.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.dft.scan import _serpentine_order, stitch_scan_chains
-from repro.dft.wrapper import WrapperPlan, dedicated_plan, insert_wrappers
+from repro.dft.wrapper import (InsertionReport, WrapperPlan, dedicated_plan,
+                               insert_wrappers)
 from repro.netlist.core import Netlist, PortKind
 from repro.place.placer import PlacementConfig, place_die
 from repro.runtime import trace
@@ -57,6 +60,20 @@ def _restitch_in_place(netlist: Netlist) -> Set[str]:
     return affected | _scan_port_nets(netlist)
 
 
+def _insertion_footprint(wrapped: Netlist, report: InsertionReport
+                         ) -> Set[str]:
+    """The nets wrapper insertion created or rewired: every net of an
+    inserted instance (insertion moves a pin only onto or off a net
+    its own gear connects to) and the test-mode net."""
+    instances = wrapped.instances
+    nets: Set[str] = set()
+    for name in report.placement_anchors:
+        nets.update(instances[name].connections.values())
+    nets.update(port.net for port in wrapped.ports.values()
+                if port.kind is PortKind.TEST_MODE and port.net is not None)
+    return nets
+
+
 def _phase(name: Optional[str]):
     """The phase span *name*, or no span for ``None``."""
     return (trace.span(name, kind="phase") if name
@@ -67,18 +84,37 @@ class SignoffBuild:
     """A wrapper plan inserted into a bare die, restitched, and bound to
     one timing context.
 
-    Cold, the build is :meth:`analyze`-d under a clock. Warm,
-    :meth:`follow` carries it through FF/TSV moves of the bare die,
-    patching the wrapped die and the context in place; the results are
+    With a *reference* build of the same bare die, the context is
+    derived from the reference's (:meth:`TimingContext.derive`): only
+    the nets either build's insertion or restitch touched, their
+    drivers and readers, and this build's gear are compiled. The
+    reference must stand at the bare die's sites, as the problem's
+    does once built and once an ECO session has followed it. Without
+    one, or over another bare die, the context compiles cold.
+
+    The build is :meth:`analyze`-d under a clock. Warm, :meth:`follow`
+    carries it through FF/TSV moves of the bare die, patching the
+    wrapped die and the context in place; the results are
     byte-identical to a cold build of the moved die. The chain order
     and the sites-to-gear map that :meth:`follow` needs are derived on
     its first call, so a build that is never followed pays for neither.
     """
 
-    def __init__(self, bare: Netlist, plan: WrapperPlan) -> None:
+    def __init__(self, bare: Netlist, plan: WrapperPlan,
+                 reference: Optional["SignoffBuild"] = None) -> None:
+        self.bare = bare
         self.wrapped, self.report = insert_wrappers(bare, plan)
-        stitch_scan_chains(self.wrapped, restitch=True)
-        self.context = TimingContext(self.wrapped)
+        #: nets of the wrapped die that may differ from the bare die's
+        self._edited = (_insertion_footprint(self.wrapped, self.report)
+                        | _restitch_in_place(self.wrapped))
+        if reference is not None and reference.bare is bare:
+            self.context = TimingContext.derive(
+                reference.context, self.wrapped,
+                touched=reference._edited | self._edited,
+                fresh=set(self.report.placement_anchors),
+                stale=set(reference.report.placement_anchors))
+        else:
+            self.context = TimingContext(self.wrapped)
         #: serpentine order of the wrapped die's scan FFs as stitched
         self._order: Optional[List[str]] = None
         #: bare FF/TSV name -> wrapper instances placed at its site
@@ -86,12 +122,14 @@ class SignoffBuild:
 
     @classmethod
     def signoff(cls, bare: Netlist, plan: WrapperPlan,
-                clock: ClockConstraint
+                clock: ClockConstraint,
+                reference: Optional["SignoffBuild"] = None
                 ) -> Tuple["SignoffBuild", SignoffTiming]:
-        """One sign-off round built cold: insertion and restitch in the
+        """One sign-off round built from the bare die: insertion,
+        restitch and the context derived from *reference* in the
         ``flow.insertion`` phase, both analyses in ``flow.sta``."""
         with trace.span("flow.insertion", kind="phase"):
-            build = cls(bare, plan)
+            build = cls(bare, plan, reference)
         with trace.span("flow.sta", kind="phase"):
             return build, build.analyze(clock)
 
@@ -161,7 +199,9 @@ class SignoffBuild:
             restitched = order != self._order
             if restitched:
                 with _phase(restitch_phase):
-                    dirty |= _restitch_in_place(wrapped)
+                    footprint = _restitch_in_place(wrapped)
+                dirty |= footprint
+                self._edited |= footprint
                 self._order = order
         with _phase(sta_phase):
             self.context.invalidate_nets(sorted(dirty))

@@ -31,7 +31,8 @@ re-solving incrementally:
   without re-running Algorithm 2.
 * **Sign-off cache.** Sign-off builds are cached per plan
   fingerprint with their last results; a cache hit follows the build
-  to the solve's sites, skipping insertion and full STA.
+  to the solve's sites, skipping insertion and full STA, and a miss
+  derives its context from the followed reference build.
 * **Fallback.** Structural edits (``AddTsv``/``RemoveTsv``) or a
   dirty fraction above ``fallback_ratio`` drop the scoped path and
   re-solve cold (the pair logs and other memos are rebuilt on the way
@@ -427,7 +428,8 @@ class WcmSession(FlowHooks):
 
     def signoff(self, problem: WcmProblem, plan, config: WcmConfig):
         """A cached build of the same plan follows the solve's sites;
-        any other plan is built cold and cached (FIFO-bounded)."""
+        any other plan is built, its context derived from the followed
+        reference, and cached (FIFO-bounded)."""
         # structural identity of the plan — cheaper than a generic
         # fingerprint() and injective on everything insertion reads
         # (the kind's value: an Enum hashes in Python, a str in C)
@@ -442,7 +444,8 @@ class WcmSession(FlowHooks):
             timing, _restitched = build.follow(self._solve_sites, timing)
         else:
             build, timing = SignoffBuild.signoff(problem.netlist, plan,
-                                                 self._clock)
+                                                 self._clock,
+                                                 problem.reference)
             while len(self._plan_cache) >= self.MAX_PLAN_CACHE:
                 self._plan_cache.pop(next(iter(self._plan_cache)))
         self._plan_cache[key] = (build, timing)

@@ -419,6 +419,7 @@ def driver_manifest(name: str, result, scale: ExperimentScale,
         result_fingerprint=result_fingerprint(result),
         metrics=tracer.metrics if tracer is not None else None,
         timings=tracer.bench_timings() if tracer is not None else None,
+        runtime=tracer.runtime if tracer is not None else None,
     )
 
 

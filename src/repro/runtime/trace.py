@@ -39,6 +39,7 @@ it — and serves the block from an in-memory tracer when tracing is off.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -61,8 +62,10 @@ TRACE_SCHEMA_VERSION = 1
 #: ``sim.propagate_events`` is deterministic but stays excluded:
 #: fingerprinting it would move every pinned manifest fingerprint of a
 #: run that simulates faults.
+#: ``runtime.gc`` (collections and seconds of the cyclic garbage
+#: collector) depends on the heap's history, not on the work done.
 VOLATILE_PREFIXES = ("cache.", "supervisor.", "chaos.",
-                     "sim.propagate_events")
+                     "sim.propagate_events", "runtime.gc")
 
 #: default histogram buckets by metric name (upper bounds; one
 #: overflow bucket is appended implicitly)
@@ -308,7 +311,7 @@ class _Span:
     """One live span: emits start/end events, accumulates timings."""
 
     __slots__ = ("tracer", "span_id", "parent_id", "name", "kind",
-                 "attrs", "_wall0", "_cpu0")
+                 "attrs", "_wall0", "_cpu0", "gc_s")
 
     def __init__(self, tracer: "Tracer", span_id: str,
                  parent_id: Optional[str], name: str, kind: str,
@@ -321,6 +324,8 @@ class _Span:
         self.attrs = attrs
         self._wall0 = 0.0
         self._cpu0 = 0.0
+        #: garbage-collector seconds while this was the innermost span
+        self.gc_s = 0.0
 
     def __enter__(self) -> "_Span":
         tracer = self.tracer
@@ -352,10 +357,13 @@ class _Span:
         depth = tracer._depth
         if depth[self.name] > 1:
             depth[self.name] -= 1  # re-entered: the outermost charges
+            if tracer._stack:
+                tracer._stack[-1].gc_s += self.gc_s
         else:
             del depth[self.name]
             tracer._add_timing(self.name,
-                               [1, wall_s, wall_s, wall_s, wall_s * wall_s])
+                               [1, wall_s, wall_s, wall_s, wall_s * wall_s,
+                                self.gc_s])
         return False
 
 
@@ -410,11 +418,17 @@ class Tracer:
                     else f"events-w{pid}.jsonl")
             self.sink = TraceSink(self.trace_dir / stem)
         self.metrics = MetricsRegistry()
+        #: process-runtime metrics (``runtime.gc.collections``,
+        #: ``runtime.gc_s``): kept apart from :attr:`metrics`, whose
+        #: counters a rerun reproduces, and reported as volatile
+        self.runtime = MetricsRegistry()
         self.pid = pid
         self._stack: List[_Span] = []
         self._seq = 0
-        #: name -> [rounds, total_s, min_s, max_s, sum_sq]
+        #: name -> [rounds, total_s, min_s, max_s, sum_sq, gc_s]
         self._timing: Dict[str, List[float]] = {}
+        #: perf_counter at the start of the running collection
+        self._gc_started: Optional[float] = None
         #: name -> open spans of that name (re-entrancy)
         self._depth: Dict[str, int] = {}
         self._emit({"ev": "trace_start", "schema": TRACE_SCHEMA_VERSION,
@@ -454,10 +468,12 @@ class Tracer:
             stat[2] = min(stat[2], other[2])
             stat[3] = max(stat[3], other[3])
             stat[4] += other[4]
+            stat[5] += other[5]
 
     def _fold(self, other: "Tracer") -> None:
         """Add *other*'s metrics and span timings to this tracer's."""
         self.metrics.merge(other.metrics)
+        self.runtime.merge(other.runtime)
         for name, stat in other._timing.items():
             self._add_timing(name, stat)
 
@@ -466,14 +482,14 @@ class Tracer:
         """Span timings in the ``BENCH_*.json`` shape (per span name)."""
         out: Dict[str, Dict[str, float]] = {}
         for name in sorted(self._timing):
-            rounds, total, low, high, sum_sq = self._timing[name]
+            rounds, total, low, high, sum_sq, gc_s = self._timing[name]
             rounds = int(rounds)
             mean = total / rounds
             variance = max(0.0, sum_sq / rounds - mean * mean)
             out[name] = {"mean_s": mean, "min_s": low,
                          "stddev_s": math.sqrt(variance)
                          if rounds > 1 else 0.0,
-                         "rounds": rounds}
+                         "rounds": rounds, "gc_s": gc_s}
         return out
 
     def close(self) -> None:
@@ -491,20 +507,51 @@ class Tracer:
 _TRACER: Optional[Tracer] = None
 
 
+def _on_gc(phase: str, info: Dict[str, Any]) -> None:  # noqa: ARG001
+    """``gc.callbacks`` hook, installed while a tracer runs: charges
+    each collection's seconds to the innermost open span and counts
+    ``runtime.gc.collections`` and ``runtime.gc_s``."""
+    tracer = _TRACER
+    if tracer is None:
+        return
+    if phase == "start":
+        tracer._gc_started = time.perf_counter()
+        return
+    started = tracer._gc_started
+    if started is None:
+        return
+    tracer._gc_started = None
+    elapsed = time.perf_counter() - started
+    tracer.runtime.inc("runtime.gc.collections")
+    tracer.runtime.inc("runtime.gc_s", elapsed)
+    if tracer._stack:
+        tracer._stack[-1].gc_s += elapsed
+
+
+def _set_tracer(tracer: Optional[Tracer]) -> None:
+    """Make *tracer* the process tracer; the collector hook is
+    installed exactly while one runs."""
+    global _TRACER
+    _TRACER = tracer
+    hooked = _on_gc in gc.callbacks
+    if tracer is not None and not hooked:
+        gc.callbacks.append(_on_gc)
+    elif tracer is None and hooked:
+        gc.callbacks.remove(_on_gc)
+
+
 def start(trace_dir: os.PathLike, role: str = "main") -> Tracer:
     """Start (or replace) the process tracer writing under *trace_dir*."""
-    global _TRACER
     if _TRACER is not None:
         _TRACER.close()
-    _TRACER = Tracer(trace_dir, role=role)
+    _set_tracer(Tracer(trace_dir, role=role))
     return _TRACER
 
 
 def stop() -> Optional[Tracer]:
     """Stop the tracer (close the sink); returns it for inspection."""
-    global _TRACER
     tracer = _TRACER
-    _TRACER = None
+    _set_tracer(None)
     if tracer is not None:
         tracer.close()
     return tracer
@@ -575,23 +622,23 @@ def collect() -> Iterator[Tracer]:
     so its rollup is the same as without the block. Blocks nest: an
     outer block sees its inner blocks' work too.
     """
-    global _TRACER
     block = Tracer(None)
     outer = _TRACER
     if outer is None:
-        _TRACER = block
+        _set_tracer(block)
         try:
             yield block
         finally:
             if _TRACER is block:
-                _TRACER = None
+                _set_tracer(None)
         return
-    saved = outer.metrics, outer._timing
-    outer.metrics, outer._timing = block.metrics, block._timing
+    saved = outer.metrics, outer.runtime, outer._timing
+    outer.metrics, outer.runtime, outer._timing = \
+        block.metrics, block.runtime, block._timing
     try:
         yield block
     finally:
-        outer.metrics, outer._timing = saved
+        outer.metrics, outer.runtime, outer._timing = saved
         outer._fold(block)
 
 
@@ -631,9 +678,17 @@ def build_manifest(label: str, *,
                    result_fingerprint: Optional[str] = None,
                    metrics: Optional[MetricsRegistry] = None,
                    timings: Optional[Dict[str, Dict[str, float]]] = None,
+                   runtime: Optional[MetricsRegistry] = None,
                    ) -> Dict[str, Any]:
-    """Assemble one run's manifest payload (fingerprint included)."""
+    """Assemble one run's manifest payload (fingerprint included).
+    *runtime* (a tracer's :attr:`Tracer.runtime`) joins the volatile
+    metrics."""
     registry = metrics if metrics is not None else MetricsRegistry()
+    if runtime is not None:
+        merged = MetricsRegistry()
+        merged.merge(registry)
+        merged.merge(runtime)
+        registry = merged
     payload: Dict[str, Any] = {
         "schema": TRACE_SCHEMA_VERSION,
         "label": label,
@@ -824,15 +879,21 @@ def render_manifest(payload: Dict[str, Any]) -> str:
         lines.append(table.render())
     timings = payload.get("timings") or {}
     if timings:
+        # a tracer's timings carry the collector's seconds per span
+        # (``gc_ms``); raw BENCH timings do not
+        with_gc = any("gc_s" in t for t in timings.values())
         table = AsciiTable(["span", "rounds", "total_ms", "mean_ms",
-                            "min_ms"])
+                            "min_ms"] + (["gc_ms"] if with_gc else []))
         for name in sorted(timings):
             t = timings[name]
             rounds = int(t.get("rounds", 0))
             mean_ms = 1e3 * float(t.get("mean_s", 0.0))
-            table.add_row([name, rounds, f"{rounds * mean_ms:.3f}",
-                           f"{mean_ms:.3f}",
-                           f"{1e3 * float(t.get('min_s', 0.0)):.3f}"])
+            row = [name, rounds, f"{rounds * mean_ms:.3f}",
+                   f"{mean_ms:.3f}",
+                   f"{1e3 * float(t.get('min_s', 0.0)):.3f}"]
+            if with_gc:
+                row.append(f"{1e3 * float(t.get('gc_s', 0.0)):.3f}")
+            table.add_row(row)
         lines.append(table.render())
     return "\n".join(lines)
 

@@ -14,10 +14,13 @@ gate delay and the ``(pin, net, wire delay)`` arcs of its timed inputs.
 Repeated :meth:`TimingContext.analyze` calls (dual-mode sign-off, ECO
 rounds, path reports) sweep only those lists; case analysis compiles
 once per case map, by propagating the constants event-driven from the
-case nets. :meth:`TimingContext.invalidate_nets` patches the compiled
-state for nets a caller mutated in place (placement moves, load
-changes); structural edits (new instances/nets) need
-:meth:`TimingContext.invalidate`.
+case nets. One compile kernel builds that state three ways: cold
+from nothing, :meth:`TimingContext.derive` from the compiled context
+of a netlist the edited one was copied from (recompiling only the nets
+the edit touched, their drivers and readers, and the new instances),
+and :meth:`TimingContext.invalidate_nets`, which recompiles in place
+the nets a caller mutated (placement moves, load changes). Structural
+edits (new or removed instances and nets) derive a new context.
 
 Conventions:
 
@@ -80,6 +83,26 @@ def default_case(netlist: Netlist, test_mode: int = 0) -> Dict[str, int]:
         elif port.kind is PortKind.SCAN_ENABLE:
             case[port.net] = 0
     return case
+
+
+def _required_times(constraint: ClockConstraint) -> Tuple[float, float]:
+    """Required times at flip-flop ``D`` pins and at output ports under
+    *constraint* (``INF`` when unconstrained)."""
+    period = constraint.period_ps if constraint.is_constrained else INF
+    if period is INF:
+        return INF, INF
+    return (period - constraint.setup_ps,
+            period - constraint.output_margin_ps)
+
+
+def _push_readers(readers: Dict[str, List[int]], net_name: str,
+                  scheduled: Set[int], pending: List[int]) -> None:
+    """Schedule the unscheduled readers of *net_name* on the heap of
+    topological indices *pending*."""
+    for index in readers.get(net_name, ()):
+        if index not in scheduled:
+            scheduled.add(index)
+            heapq.heappush(pending, index)
 
 
 @dataclass
@@ -188,7 +211,9 @@ class TimingContext:
     endpoints. Every :meth:`analyze` call then runs two tight loops
     over the entries of its case. Byte-identical to a from-scratch
     analysis: the compiled values are the same floats the sweeps would
-    recompute, folded in the same order.
+    recompute, folded in the same order. A context compiles cold on
+    first use, or is :meth:`derive`-d from the context of the netlist
+    it was edited from.
     """
 
     def __init__(self, netlist: Netlist, wire_model: Optional[WireModel] = None,
@@ -199,18 +224,45 @@ class TimingContext:
         self._prepared = False
 
     # ------------------------------------------------------------------
-    # Preparation (once per netlist, or after invalidation)
+    # Compilation: cold, derived from a compiled base, or patched
     # ------------------------------------------------------------------
+    @classmethod
+    def derive(cls, base: "TimingContext", netlist: Netlist,
+               touched: Set[str], fresh: Set[str],
+               stale: Set[str]) -> "TimingContext":
+        """The compiled context of *netlist*, an edited copy of
+        *base*'s netlist, recompiling only what the edit touched.
+
+        *touched* names every net that is new, gone, or whose driver or
+        non-``SI`` sinks differ from the base netlist, and every net of
+        an object that was added, removed or moved; *fresh* names the
+        instances of *netlist* that are not the base's (added, or
+        replacing a base instance of the same name), *stale* the base
+        instances that do not survive. The loads of the touched nets
+        are recomputed, and so are the entries of the fresh instances
+        and of every driver and data reader of a touched net; every
+        other load, entry and reader list is copied from *base*, which
+        the new context never shares a mutable entry with. Surviving
+        instances keep the base's order and fresh ones are spliced in
+        after their latest combinational driver; when an edge of a
+        touched net then runs backwards the context compiles cold
+        (Kahn's order). The order stays private: ``netlist._topo_cache``
+        is not written. Byte-identical to a cold context of *netlist*,
+        because any topological order yields the same arrival maxima,
+        required minima and case constants."""
+        context = cls(netlist, base.wire, base.tsv_cap_ff)
+        if not base._prepared:
+            base._prepare()
+        context._compile(base, touched, fresh, stale)
+        return context
+
+    def _prepare(self) -> None:
+        """The cold compile: a derivation from nothing, every net
+        touched, Kahn's order."""
+        self._compile(None, set(), set(), set())
+
     def _port_cap(self, port: Port) -> float:
         return self.tsv_cap_ff if port.kind is PortKind.TSV_OUTBOUND else 2.0
-
-    def _compute_positions(self) -> Dict[str, Tuple[float, float]]:
-        pos: Dict[str, Tuple[float, float]] = {}
-        for inst in self.netlist.instances.values():
-            pos[inst.name] = (inst.x, inst.y)
-        for port in self.netlist.ports.values():
-            pos[port.name] = (port.x, port.y)
-        return pos
 
     def _net_load(self, net: Net) -> float:
         """Per-net capacitive load: sink pin caps + star wire cap.
@@ -253,66 +305,212 @@ class TimingContext:
         length = abs(dpos[0] - sink_pos[0]) + abs(dpos[1] - sink_pos[1])
         return self.wire.wire_delay_ps(length, cap)
 
-    def _compile_arcs(self, inst: Instance,
-                      index: Optional[int] = None) -> Tuple[tuple, ...]:
-        """The ``(pin, net, wire delay)`` arcs of *inst*'s timed data
-        inputs, in cell pin order. With *index* (its topological
-        index), also records *inst* as a reader of every data-input
-        net, timed or not."""
+    def _compile_entry(self, inst: Instance, index: Optional[int] = None,
+                       record: Optional[Set[str]] = None
+                       ) -> Optional[list]:
+        """The entry ``[output net, gate delay, arcs]`` of *inst*
+        (``None`` without an output net): the ``(pin, net, wire
+        delay)`` arcs of its timed data inputs, in cell pin order. With
+        *index* (its topological index), also records *inst* as a
+        reader of each data-input net, timed or not, that is in
+        *record* (every net when *record* is ``None``)."""
         readers = self._readers
+        untimed = self._untimed_base
         sink_pos = self._pos[inst.name]
+        connections = inst.connections
         arcs = []
         for cpin in inst.cell.input_pins:
             pin = cpin.name
-            net = inst.connections.get(pin)
+            net = connections.get(pin)
             if net is None or pin in _NON_DATA_PINS:
                 continue
-            if index is not None:
+            if index is not None and (record is None or net in record):
                 seen = readers.get(net)
                 if seen is None:
                     readers[net] = [index]
                 elif seen[-1] != index:
                     seen.append(index)
-            if net not in self._untimed_base:
+            if net not in untimed:
                 arcs.append((pin, net,
                              self._wire_delay(net, sink_pos, cpin.cap_ff)))
-        return tuple(arcs)
+        out = inst.output_net()
+        if out is None:
+            return None
+        return [out, inst.cell.delay_ps(self._loads.get(out, 0.0)),
+                tuple(arcs)]
 
-    def _prepare(self) -> None:
+    def _recompiled(self, touched: Set[str]) -> Set[str]:
+        """The drivers and data readers of the *touched* nets that
+        exist: the instances a derivation compiles afresh."""
+        nets = self.netlist.nets
+        out: Set[str] = set()
+        for name in touched:
+            net = nets.get(name)
+            if net is None:
+                continue
+            driver = net.driver
+            if driver is not None and not driver.is_port:
+                out.add(driver.owner_name)
+            for sink in net.sinks:
+                if not sink.is_port and sink.pin_name not in _NON_DATA_PINS:
+                    out.add(sink.owner_name)
+        return out
+
+    def _spliced_order(self, base: "TimingContext", fresh: Set[str],
+                       stale: Set[str]) -> Tuple[List[str], List[int]]:
+        """The base order without the *stale* instances, each fresh
+        combinational instance spliced in after its latest
+        combinational driver (fresh drivers first). Returns the order
+        and, per position, the base index of a survivor (-1: fresh)."""
+        instances = self.netlist.instances
+        nets = self.netlist.nets
+        base_driver = base._driver_index
+        slots: Dict[str, int] = {}
+        after: Dict[int, List[str]] = {}
+
+        def slot_of(name: str) -> int:
+            slot = slots.get(name)
+            if slot is not None:
+                if slot == -2:
+                    raise TimingError(
+                        f"{self.netlist.name}: combinational cycle "
+                        f"through {name!r}")
+                return slot
+            slots[name] = -2  # in progress
+            latest = -1
+            for _pin, net_name in instances[name].input_nets():
+                driver = nets[net_name].driver
+                if driver is None or driver.is_port:
+                    continue
+                owner = driver.owner_name
+                if owner in fresh:
+                    if instances[owner].is_sequential:
+                        continue
+                    index = slot_of(owner)
+                else:
+                    index = base_driver.get(net_name, -1)
+                if index > latest:
+                    latest = index
+            slots[name] = latest
+            after.setdefault(latest, []).append(name)
+            return latest
+
+        for name in fresh:
+            if not instances[name].is_sequential and name not in slots:
+                slot_of(name)
+        order: List[str] = list(after.get(-1, ()))
+        origin: List[int] = [-1] * len(order)
+        for index, name in enumerate(base._topo):
+            if name in stale:
+                continue
+            order.append(name)
+            origin.append(index)
+            spliced = after.get(index)
+            if spliced:
+                order.extend(spliced)
+                origin.extend([-1] * len(spliced))
+        return order, origin
+
+    def _compile(self, base: Optional["TimingContext"], touched: Set[str],
+                 fresh: Set[str], stale: Set[str]) -> None:
+        """Compile this context's netlist, from nothing (*base* None)
+        or from *base* (see :meth:`derive`)."""
         netlist = self.netlist
         instances = netlist.instances
-        self._pos = self._compute_positions()
-        self._topo: List[str] = list(topological_instances(netlist))
+        nets = netlist.nets
         self._untimed_base = {
             port.net for port in netlist.ports.values()
             if port.kind in _UNTIMED_PORT_KINDS and port.net is not None
         }
-        loads = self._loads = {}
-        for net in netlist.nets.values():
-            loads[net.name] = self._net_load(net)
+        self._readers: Dict[str, List[int]] = {}
+        if base is None:
+            pos = self._pos = {}
+            for inst in instances.values():
+                pos[inst.name] = (inst.x, inst.y)
+            for port in netlist.ports.values():
+                pos[port.name] = (port.x, port.y)
+            loads = self._loads = {}
+            for net in nets.values():
+                loads[net.name] = self._net_load(net)
+            order = list(topological_instances(netlist))
+            origin = None
+            recompiled: Set[str] = set()
+            record = None
+        else:
+            pos = self._pos = dict(base._pos)
+            for name in fresh:
+                inst = instances[name]
+                pos[name] = (inst.x, inst.y)
+            for port in netlist.ports.values():
+                pos[port.name] = (port.x, port.y)
+            loads = dict(base._loads)
+            for name in touched:
+                net = nets.get(name)
+                if net is None:
+                    loads.pop(name, None)
+                else:
+                    loads[name] = self._net_load(net)
+            # every analysis copies the loads, and CPython copies a
+            # dict that holds deleted entries key by key: compact it
+            self._loads = dict(loads)
+            order, origin = self._spliced_order(base, fresh, stale)
+            recompiled = self._recompiled(touched)
+            record = touched
 
         # The compiled graph: one entry per combinational instance, in
         # topological order, plus the structure-only reverse maps the
         # event-driven passes read.
-        self._base: List[Optional[list]] = []
-        self._readers: Dict[str, List[int]] = {}
-        self._driver_index: Dict[str, int] = {}
-        for index, name in enumerate(self._topo):
-            inst = instances[name]
-            arcs = self._compile_arcs(inst, index)
-            out = inst.output_net()
-            if out is None:
-                self._base.append(None)
-                continue
-            self._driver_index[out] = index
-            self._base.append([out, inst.cell.delay_ps(loads.get(out, 0.0)),
-                               arcs])
+        entries: List[Optional[list]] = []
+        driver_index: Dict[str, int] = {}
+        base_entries = base._base if base is not None else None
+        for index, name in enumerate(order):
+            old = origin[index] if origin is not None else -1
+            if old < 0 or name in recompiled:
+                entry = self._compile_entry(instances[name], index, record)
+            else:
+                entry = base_entries[old]
+                if entry is not None:
+                    entry = [entry[0], entry[1], entry[2]]
+            if entry is not None:
+                driver_index[entry[0]] = index
+            entries.append(entry)
+        if base is not None:
+            readers = self._readers
+            for name in touched:
+                # a reader list runs in increasing index order, so its
+                # head is the touched net's earliest reader
+                index = driver_index.get(name)
+                seen = readers.get(name)
+                if index is not None and seen and seen[0] <= index:
+                    self._prepare()
+                    return
+            remap = [-1] * len(base._topo)
+            for index, old in enumerate(origin):
+                if old >= 0:
+                    remap[old] = index
+            for name, seen in base._readers.items():
+                if name not in touched:
+                    readers[name] = [remap[index] for index in seen]
+        self._topo: List[str] = order
+        self._base: List[Optional[list]] = entries
+        self._driver_index: Dict[str, int] = driver_index
+        self._index_flip_flops()
+        self._index_ports()
+        #: case key -> compiled graph under that case
+        self._cases: Dict[Tuple, _CaseArcs] = {}
+        self._prepared = True
+        trace.inc("sta.context_builds")
 
+    def _index_flip_flops(self) -> None:
+        """Launch entries ``[Q net, clock-to-Q delay]`` and capture
+        endpoints ``[name, D net, wire delay]`` of the flip-flops, in
+        instance order."""
+        loads = self._loads
         self._launches: List[list] = []
         self._launch_of: Dict[str, list] = {}
         self._ff_ends: List[list] = []
         self._ffd_sinks: Dict[str, List[list]] = {}
-        for inst in netlist.flip_flops():
+        for inst in self.netlist.flip_flops():
             out = inst.output_net()
             if out is not None:
                 launch = [out, inst.cell.delay_ps(loads.get(out, 0.0))]
@@ -324,12 +522,6 @@ class TimingContext:
                     net, self._pos[inst.name], inst.cell.input_cap("D"))]
                 self._ff_ends.append(end)
                 self._ffd_sinks.setdefault(net, []).append(end)
-        self._index_ports()
-        #: case key -> compiled graph under that case
-        self._cases: Dict[Tuple, _CaseArcs] = {}
-
-        self._prepared = True
-        trace.inc("sta.context_builds")
 
     def _index_ports(self) -> None:
         """Launch nets of the timed input ports and the endpoints of
@@ -354,7 +546,7 @@ class TimingContext:
     # Invalidation hooks
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop all cached state (needed after structural edits)."""
+        """Drop all compiled state; the next use compiles cold."""
         self._prepared = False
 
     def invalidate_nets(self, net_names) -> None:
@@ -367,9 +559,12 @@ class TimingContext:
         cached geometry). Output-port sinks may also have been rewired
         in place on the listed nets (a scan restitch moves the scan-out
         port with the chain tail): the port endpoints are then
-        re-indexed. Adding or removing instances or gate connections
-        changes the topological order — use :meth:`invalidate` for
-        that.
+        re-indexed. The entries of the nets' data readers are
+        recompiled in place by the compile kernel the cold and derived
+        builds run; their drivers take the gate delay of the new load.
+        Adding or removing instances or gate
+        connections is a structural edit: :meth:`derive` a context of
+        the edited netlist instead.
         """
         if not self._prepared:
             return
@@ -391,21 +586,12 @@ class TimingContext:
                        else netlist.instances.get(owner))
                 if obj is not None:
                     pos[owner] = (obj.x, obj.y)
-        patched: Set[int] = set()
+        loads = self._loads
+        for net in nets:
+            loads[net.name] = self._net_load(net)
+        patched = self._refresh_entries(nets)
         ports_stale = False
         for net in nets:
-            load = self._loads[net.name] = self._net_load(net)
-            driver = net.driver
-            if driver is not None and not driver.is_port:
-                delay = netlist.instance(driver.owner_name).cell.delay_ps(
-                    load)
-                index = self._driver_index.get(net.name)
-                if index is not None:
-                    self._base[index][1] = delay
-                    patched.add(index)
-                elif net.name in self._launch_of:
-                    self._launch_of[net.name][1] = delay
-            patched.update(self._refresh_sink_delays(net))
             ports_stale = self._refresh_port_ends(net) or ports_stale
         if ports_stale:
             # a port endpoint moved between nets: re-index the ports
@@ -419,23 +605,39 @@ class TimingContext:
                 arcs.overrides[index][1:] = fresh[1:]
         trace.inc("sta.context_invalidations")
 
-    def _refresh_sink_delays(self, net: Net) -> List[int]:
-        """Recompute the wire delays of the arcs and flip-flop
-        endpoints *net* feeds; return the patched entries' indices."""
-        name = net.name
-        patched = []
-        for index in self._readers.get(name, ()):
-            entry = self._base[index]
-            if entry is None:
-                continue
-            entry[2] = self._compile_arcs(
-                self.netlist.instances[self._topo[index]])
-            patched.append(index)
-        for end in self._ffd_sinks.get(name, ()):
-            inst = self.netlist.instances[end[0]]
-            end[2] = self._wire_delay(name, self._pos[inst.name],
-                                      inst.cell.input_cap("D"))
-        return patched
+    def _refresh_entries(self, nets: List[Net]) -> Set[int]:
+        """Recompile in place the entries of the data readers of
+        *nets*, the gate delays of their drivers (the launch delays of
+        flip-flop drivers) and the wire delays of the flip-flop
+        endpoints they feed; return the patched entries' indices."""
+        instances = self.netlist.instances
+        loads = self._loads
+        drivers: Set[int] = set()
+        readers: Set[int] = set()
+        for net in nets:
+            name = net.name
+            index = self._driver_index.get(name)
+            if index is not None:
+                drivers.add(index)
+            elif name in self._launch_of:
+                driver = instances[net.driver.owner_name]
+                self._launch_of[name][1] = driver.cell.delay_ps(loads[name])
+            readers.update(self._readers.get(name, ()))
+            for end in self._ffd_sinks.get(name, ()):
+                inst = instances[end[0]]
+                end[2] = self._wire_delay(name, self._pos[inst.name],
+                                          inst.cell.input_cap("D"))
+        base = self._base
+        topo = self._topo
+        for index in readers:
+            entry = base[index]
+            if entry is not None:
+                entry[1:] = self._compile_entry(instances[topo[index]])[1:]
+        for index in drivers - readers:
+            # only the output load moved: the arcs stand
+            entry = base[index]
+            entry[1] = instances[topo[index]].cell.delay_ps(loads[entry[0]])
+        return drivers | readers
 
     def _refresh_port_ends(self, net: Net) -> bool:
         """Recompute the wire delays of the output-port endpoints on
@@ -479,15 +681,8 @@ class TimingContext:
         readers = self._readers
         pending: List[int] = []
         scheduled: Set[int] = set()
-
-        def schedule_readers(net_name: str) -> None:
-            for index in readers.get(net_name, ()):
-                if index not in scheduled:
-                    scheduled.add(index)
-                    heapq.heappush(pending, index)
-
         for net_name in case:
-            schedule_readers(net_name)
+            _push_readers(readers, net_name, scheduled, pending)
         while pending:
             inst = instances[self._topo[heapq.heappop(pending)]]
             out = inst.output_net()
@@ -498,7 +693,7 @@ class TimingContext:
             value = _eval3(inst.cell.function, ins)
             if value != _X:
                 consts[out] = value
-                schedule_readers(out)
+                _push_readers(readers, out, scheduled, pending)
         return consts
 
     def _case_entry(self, index: int,
@@ -590,10 +785,7 @@ class TimingContext:
             arrival[out] = worst_in + delay
 
         # ---- endpoints ---------------------------------------------------
-        period = constraint.period_ps if constraint.is_constrained else INF
-        ff_required = period - constraint.setup_ps if period is not INF else INF
-        port_required = (period - constraint.output_margin_ps
-                         if period is not INF else INF)
+        ff_required, port_required = _required_times(constraint)
 
         endpoints: List[EndpointSlack] = []
         port_slack: Dict[str, float] = {}
@@ -646,6 +838,15 @@ class TimingContext:
                 if value < required_of(net_name, INF):
                     required[net_name] = value
 
+        return self._result(constraint, arrival, required, endpoints,
+                            port_slack, critical)
+
+    def _result(self, constraint: ClockConstraint,
+                arrival: Dict[str, float], required: Dict[str, float],
+                endpoints: List[EndpointSlack], port_slack: Dict[str, float],
+                critical: float) -> TimingResult:
+        """The :class:`TimingResult` of one sweep, its worst slack
+        observed when tracing."""
         result = TimingResult(
             netlist_name=self.netlist.name,
             constraint=constraint,
@@ -708,22 +909,15 @@ class TimingContext:
                 changed.add(out)
 
         pending: List[int] = []
-        scheduled = set()
-
-        def schedule_readers(net_name: str) -> None:
-            for index in readers.get(net_name, ()):
-                if index not in scheduled:
-                    scheduled.add(index)
-                    heapq.heappush(pending, index)
-
+        scheduled: Set[int] = set()
         for net_name in dirty:
-            schedule_readers(net_name)
+            _push_readers(readers, net_name, scheduled, pending)
             index = driver_index.get(net_name)
             if index is not None and index not in scheduled:
                 scheduled.add(index)
                 heapq.heappush(pending, index)
         for net_name in changed:
-            schedule_readers(net_name)
+            _push_readers(readers, net_name, scheduled, pending)
 
         while pending:
             entry = active[heapq.heappop(pending)]
@@ -739,7 +933,7 @@ class TimingContext:
             if arrival.get(out) != value:
                 arrival[out] = value
                 changed.add(out)
-                schedule_readers(out)
+                _push_readers(readers, out, scheduled, pending)
 
         # ---- endpoints: patch where the capture net was touched ---------
         # An endpoint's arrival is arrival[net] + a wire delay of that
@@ -747,10 +941,7 @@ class TimingContext:
         # endpoints whose capture net is neither dirty nor downstream of
         # a change are reused from *previous* — only the critical-path
         # max is re-folded over everything (cheap float reads).
-        period = constraint.period_ps if constraint.is_constrained else INF
-        ff_required = period - constraint.setup_ps if period is not INF else INF
-        port_required = (period - constraint.output_margin_ps
-                         if period is not INF else INF)
+        ff_required, port_required = _required_times(constraint)
 
         touched = changed | dirty
         # The case's endpoint lists are the ones the full sweep visits,
@@ -883,19 +1074,6 @@ class TimingContext:
             else:
                 required[n] = new
 
-        result = TimingResult(
-            netlist_name=self.netlist.name,
-            constraint=constraint,
-            arrival_ps=arrival,
-            required_ps=required,
-            net_load_ff=dict(self._loads),
-            endpoints=endpoints,
-            port_slack_ps=port_slack,
-            critical_path_ps=critical,
-        )
-        if trace.active() is not None:
-            worst = result.worst_slack_ps
-            if worst is not INF:
-                trace.observe("sta.worst_slack_ps", worst)
-        return result
+        return self._result(constraint, arrival, required, endpoints,
+                            port_slack, critical)
 

@@ -336,6 +336,56 @@ def check_sta_reuse(subject: Subject) -> List[str]:
                            kernel, oracle)
 
 
+def check_sta_derive(subject: Subject) -> List[str]:
+    """Derived sign-off contexts vs the path-enumeration oracle. On a
+    problem rebuilt from a clone of the bare die, one cold flow gives a
+    plan; then one seeded FF and one TSV move and the reference build
+    follows them. The dedicated build and the flow plan's build, each
+    with its context derived from the followed reference, must time
+    both sign-off modes, an unconstrained run and a pinned case map
+    (:func:`pinned_case`) exactly as the oracle does."""
+    from repro.core.flow import run_wcm_flow
+    from repro.core.problem import SignoffBuild, build_problem
+    from repro.dft.wrapper import dedicated_plan
+
+    clock = subject.config.scenario.clock
+    bare = subject.problem.netlist.clone()
+    problem = build_problem(bare, clock=clock, already_prepared=True)
+    plans = {"dedicated": dedicated_plan(bare),
+             "flow": run_wcm_flow(problem, subject.config).plan}
+    rng = DeterministicRng(subject.spec.seed).child("verify", "sta-derive")
+    span = max(max((p.x for p in bare.ports.values()), default=100.0),
+               100.0)
+    ffs = bare.scan_flip_flops()
+    tsvs = [port for port in bare.ports.values() if port.is_tsv]
+    for mover in ([rng.choice(ffs)] if ffs else []) \
+            + ([rng.choice(tsvs)] if tsvs else []):
+        mover.x += rng.uniform(-0.2, 0.2) * span
+        mover.y += rng.uniform(-0.2, 0.2) * span
+    sites = {obj.name: (obj.x, obj.y) for obj in [*ffs, *tsvs]}
+    problem.reference.follow(sites, (problem.timing, problem.test_timing))
+
+    out: List[str] = []
+    for label, plan in plans.items():
+        build = SignoffBuild(bare, plan, problem.reference)
+        wrapped = build.wrapped
+        for mode, timing in enumerate(build.analyze(clock)):
+            out += _compare_timing(
+                f"sta-derive[{label}][mode {mode}]", timing,
+                oracle_sta(wrapped, clock,
+                           case=default_case(wrapped, test_mode=mode)))
+        out += _compare_timing(
+            f"sta-derive[{label}][unconstrained]",
+            build.context.analyze(UNCONSTRAINED),
+            oracle_sta(wrapped, UNCONSTRAINED))
+        case = pinned_case(wrapped, subject.spec.seed)
+        out += _compare_timing(
+            f"sta-derive[{label}][pinned]",
+            build.context.analyze(clock, case=case),
+            oracle_sta(wrapped, clock, case=case))
+    return out
+
+
 def check_graph(subject: Subject) -> List[str]:
     """The sharing-graph sweep vs the O(n^2) oracle, for both TSV
     directions, and the estimator's counted fault universe vs the
@@ -750,6 +800,7 @@ CHECKS: Dict[str, Callable[[Subject], List[str]]] = {
     "podem": check_podem,
     "sta": check_sta,
     "sta-reuse": check_sta_reuse,
+    "sta-derive": check_sta_derive,
     "graph": check_graph,
     "clique": check_clique,
     "insertion": check_insertion,

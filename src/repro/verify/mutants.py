@@ -81,16 +81,44 @@ def _mutant_sta_stale_arcs() -> Iterator[None]:
     output wires keep their pre-move Elmore delays."""
     from repro.sta import timer
 
-    original = timer.TimingContext._refresh_sink_delays
+    original = timer.TimingContext._refresh_entries
 
-    def stale(self, net):  # noqa: ARG001
-        return []
+    def stale(self, nets):
+        arcs = [entry and entry[2] for entry in self._base]
+        patched = original(self, nets)
+        for index in patched:
+            if self._base[index] is not None:
+                self._base[index][2] = arcs[index]
+        return patched
 
-    timer.TimingContext._refresh_sink_delays = stale
+    timer.TimingContext._refresh_entries = stale
     try:
         yield
     finally:
-        timer.TimingContext._refresh_sink_delays = original
+        timer.TimingContext._refresh_entries = original
+
+
+@contextlib.contextmanager
+def _mutant_sta_derive_stale_reader() -> Iterator[None]:
+    """A derived timing context recompiles the drivers of the touched
+    nets but copies their data readers from the base: a gate behind a
+    new test mux keeps the arcs it had in the reference build."""
+    from repro.sta import timer
+
+    original = timer.TimingContext._recompiled
+
+    def drivers_only(self, touched):
+        nets = self.netlist.nets
+        return {net.driver.owner_name
+                for net in (nets.get(name) for name in touched)
+                if net is not None and net.driver is not None
+                and not net.driver.is_port}
+
+    timer.TimingContext._recompiled = drivers_only
+    try:
+        yield
+    finally:
+        timer.TimingContext._recompiled = original
 
 
 @contextlib.contextmanager
@@ -347,6 +375,9 @@ MUTANTS: Dict[str, tuple] = {
                         _mutant_sta_stale_cache),
     "sta-stale-arcs": ("invalidate_nets leaves the compiled arcs' wire "
                        "delays stale", _mutant_sta_stale_arcs),
+    "sta-derive-stale-reader": ("a derived context copies the data "
+                                "readers of touched nets",
+                                _mutant_sta_derive_stale_reader),
     "obs-branch-dead": ("observation_diff always reports undetected",
                         _mutant_obs_branch_dead),
     "cone-bitset-alias": ("cone bitsets share a phantom overlap bit",

@@ -411,3 +411,49 @@ class TestCollect:
         sweep = supervised_map(_untraced, [0, 1, 2, 3], jobs=2, seed=7,
                                label="untraced")
         assert sweep.results_or_raise() == [True] * 4
+
+
+class TestGarbageCollector:
+    def test_forced_collection_is_charged_to_the_innermost_span(self):
+        import gc
+
+        assert trace.active() is None
+        assert trace._on_gc not in gc.callbacks
+        with trace.collect() as collected:
+            assert trace._on_gc in gc.callbacks
+            with trace.span("outer", kind="phase"):
+                with trace.span("inner", kind="phase"):
+                    gc.collect()
+        assert trace._on_gc not in gc.callbacks
+        timings = collected.bench_timings()
+        assert timings["inner"]["gc_s"] > 0.0
+        counters = collected.runtime.counters
+        assert counters["runtime.gc.collections"] >= 1
+        assert counters["runtime.gc_s"] >= timings["inner"]["gc_s"]
+        # runtime metrics stay out of the reproducible counters
+        assert not any(name.startswith("runtime.")
+                       for name in collected.metrics.counters)
+        manifest = build_manifest("gc", metrics=collected.metrics,
+                                  runtime=collected.runtime,
+                                  timings=timings)
+        assert manifest["fingerprint"] == build_manifest(
+            "gc", metrics=collected.metrics, timings=timings)["fingerprint"]
+        assert "runtime.gc.collections" in \
+            manifest["volatile_metrics"]["counters"]
+        assert "gc_ms" in trace.render_manifest(manifest)
+
+    def test_hook_lives_exactly_as_long_as_a_started_tracer(self, tmp_path):
+        import gc
+
+        assert trace._on_gc not in gc.callbacks
+        tracer = trace.start(tmp_path)
+        try:
+            assert trace._on_gc in gc.callbacks
+            with trace.span("phase", kind="phase"):
+                gc.collect()
+        finally:
+            trace.stop()
+        assert trace._on_gc not in gc.callbacks
+        assert tracer.runtime.counters["runtime.gc.collections"] >= 1
+        gc.collect()  # no tracer: nothing is counted anywhere
+        assert trace.active() is None

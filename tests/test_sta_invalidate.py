@@ -8,6 +8,9 @@ fresh context built over the moved netlist.
 
 import pytest
 
+from repro.netlist.core import Netlist, PortKind
+from repro.netlist.library import default_library
+from repro.runtime import trace
 from repro.sta.constraints import ClockConstraint, UNCONSTRAINED
 from repro.sta.timer import TimingContext, default_case
 
@@ -110,3 +113,37 @@ class TestInvalidateNets:
         fresh = TimingContext(netlist).analyze(constraint, case=case)
         assert_same_timing(delta, fresh)
         assert delta.port_slack_ps == fresh.port_slack_ps
+
+
+def _buffer_chain(order):
+    """``pi -> order[0] -> order[1] -> po`` over two placed buffers."""
+    netlist = Netlist("chain", default_library())
+    netlist.add_port("pi", PortKind.PRIMARY_INPUT, "n0")
+    netlist.add_port("po", PortKind.PRIMARY_OUTPUT, "n2")
+    for name, x in (("A", 10.0), ("B", 90.0)):
+        inst = netlist.add_instance(name, "BUF_X1")
+        inst.x, inst.y = x, 20.0
+    for index, name in enumerate(order):
+        netlist.connect(name, "A", f"n{index}")
+        netlist.connect(name, "Z", f"n{index + 1}")
+    return netlist
+
+
+class TestDerive:
+    def test_backwards_edge_compiles_cold(self):
+        """Swapping two buffers of a chain leaves no new instance to
+        splice, so the base order would run the rewired edge
+        backwards: the derivation compiles cold, once, in Kahn's
+        order, and times like a fresh context."""
+        base = TimingContext(_buffer_chain("AB"))
+        base.analyze()
+        swapped = _buffer_chain("BA")
+        with trace.collect() as collected:
+            derived = TimingContext.derive(
+                base, swapped, touched={"n0", "n1", "n2"}, fresh=set(),
+                stale=set())
+        assert collected.metrics.counters["sta.context_builds"] == 1
+        assert derived._topo == ["B", "A"]
+        assert swapped._topo_cache == ["B", "A"]
+        assert_same_timing(derived.analyze(),
+                           TimingContext(swapped).analyze())

@@ -168,6 +168,16 @@ def test_self_check_kills_cheap_mutants():
     assert all(r.evidence for r in results)
 
 
+def test_self_check_sta_derive_kills_stale_reader():
+    """A derived timing context that copies the data readers of the
+    touched nets instead of recompiling them disagrees with the path-
+    enumeration oracle: the ``sta-derive`` check alone kills it."""
+    results = self_check(root_seed=0, checks=["sta-derive"],
+                         mutant_names=["sta-derive-stale-reader"])
+    assert [r.killed for r in results] == [True], results
+    assert results[0].evidence.startswith("sta-derive[")
+
+
 def test_self_check_kills_share_first_arrival():
     """An outbound TSV-TSV row that reads only its own TSV's arrival
     disagrees with the per-pair oracle: the ``graph`` check kills it."""
